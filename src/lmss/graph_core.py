@@ -9,6 +9,7 @@ machinery in the other modules relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidVertexError, SelfLoopError
@@ -35,6 +36,64 @@ def set_of(mask: int) -> frozenset:
     return frozenset(bits_of(mask))
 
 
+def leaf_peel(adj: list, active: int) -> tuple[int, tuple, int]:
+    """Lowest-pendant peel of the subgraph induced on ``active``.
+
+    Repeatedly takes the lowest-index pendant x of what is left, pairs it
+    with its neighbor y and deletes both; every vertex left isolated is
+    taken. Returns ``(taken_mask, pairs, leftover_mask)`` with ``pairs`` the
+    ``(x, y)`` moves in peel order. Each move keeps a maximum stable set and
+    a maximum matching within reach in any graph, so on a forest
+    ``taken_mask`` is a maximum stable set, ``pairs`` a maximum matching and
+    the leftover is 0. A non-zero leftover has no pendant or isolated
+    vertex, so ``active`` contains a cycle; the converse fails (deleting y
+    can break a cycle).
+
+    Pendants wait in a min-heap with lazy deletion (a popped vertex no
+    longer in ``active`` is skipped; a live one still has degree 1, since a
+    degree only falls when a neighbor y is deleted and is then rechecked).
+    A deletion re-examines only the live neighbors of y: O(n log n) heap
+    work. Each move also costs a few bigint operations on n-bit masks, each
+    linear in n, which dominate at very large n.
+    """
+    heap = []  # filled in ascending order, hence already a heap
+    taken = 0
+    rest = active
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length() - 1
+        live = adj[v] & active
+        if not live:
+            taken |= low
+        elif not live & (live - 1):  # exactly one live neighbor
+            heap.append(v)
+    active ^= taken
+    pairs = []
+    while heap:
+        x = heappop(heap)
+        bx = 1 << x
+        if not active & bx:
+            continue
+        by = adj[x] & active
+        y = by.bit_length() - 1
+        taken |= bx
+        active ^= bx | by
+        pairs.append((x, y))
+        rest = adj[y] & active
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            z = low.bit_length() - 1
+            live = adj[z] & active
+            if not live:
+                taken |= low
+                active ^= low
+            elif not live & (live - 1):
+                heappush(heap, z)
+    return taken, tuple(pairs), active
+
+
 class Graph:
     """A finite, undirected, loopless graph without multiple edges.
 
@@ -42,7 +101,7 @@ class Graph:
     filtering are realized by constructing new graphs.
     """
 
-    __slots__ = ("labels", "edges", "vertex_count", "_index", "_adj", "_forest")
+    __slots__ = ("labels", "edges", "vertex_count", "_index", "_adj", "_forest", "_peel")
 
     def __init__(self, labels: Sequence[str], edges: Iterable[tuple[int, int]] = ()):
         labels = tuple(labels)
@@ -71,6 +130,7 @@ class Graph:
         self._index = index
         self._adj = adj
         self._forest = None
+        self._peel = None
 
     @classmethod
     def from_label_pairs(cls, labels: Sequence[str], pairs: Iterable[tuple[str, str]]) -> "Graph":
@@ -140,6 +200,13 @@ class Graph:
         if self._forest is None:
             self._forest = decompose(self).is_forest
         return self._forest
+
+    @property
+    def peel(self) -> tuple[int, tuple, int]:
+        """``leaf_peel`` of the whole graph, computed once."""
+        if self._peel is None:
+            self._peel = leaf_peel(self._adj, self.full_mask())
+        return self._peel
 
     # -- value semantics -------------------------------------------------
 

@@ -25,7 +25,7 @@ from .errors import (
     NotPerfectTreeError,
     SizeMismatchError,
 )
-from .graph_core import Graph, bits_of, decompose, mask_of, set_of
+from .graph_core import Graph, bits_of, decompose, leaf_peel, mask_of, set_of
 from .stable_core import SubsetOracle, canonical_sets
 from .tree_matching import maximum_matching
 
@@ -215,23 +215,12 @@ def _greedy_peel_masks(g: Graph, s_mask: int, oracle, cap) -> list:
 
 def _mask_matching_cover(adj: list, universe: int) -> int:
     """Covered-vertex mask of the leaf-greedy maximum matching of the forest
-    induced on ``universe``."""
-    active = universe
+    induced on ``universe``: the pairs of graph_core.leaf_peel, whose heap
+    does O(n log n) work on bitmask adjacency (plus n-bit mask steps that
+    dominate at very large n)."""
     covered = 0
-    while active:
-        pend = -1
-        for v in bits_of(active):
-            live = adj[v] & active
-            if not live:
-                active ^= 1 << v
-            elif live.bit_count() == 1:
-                pend = v
-                break
-        if pend < 0:
-            break
-        w = (adj[pend] & active).bit_length() - 1
-        covered |= (1 << pend) | (1 << w)
-        active &= ~((1 << pend) | (1 << w))
+    for x, y in leaf_peel(adj, universe)[1]:
+        covered |= (1 << x) | (1 << y)
     return covered
 
 
@@ -345,8 +334,19 @@ def chain_decompose(g: Graph, s, strategy: str = "greedy_peel",
                     raise InternalError("constructive chain left the family")
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    return ChainCertificate(graph=g, chain=tuple(set_of(m) for m in masks),
-                            strategy=strategy)
+    return ChainCertificate(graph=g, chain=_nested_sets(masks), strategy=strategy)
+
+
+def _nested_sets(masks: list) -> tuple:
+    """Freeze chain masks, growing each set from its predecessor when the
+    chain nests (it always does on success) instead of rebuilding it."""
+    sets = []
+    prev_mask, prev = 0, frozenset()
+    for m in masks:
+        prev = prev.union(bits_of(m ^ prev_mask)) if not prev_mask & ~m else set_of(m)
+        prev_mask = m
+        sets.append(prev)
+    return tuple(sets)
 
 
 def verify_greedoid(g: Graph, cap: int | None = None,

@@ -4,17 +4,19 @@ A set S is a local maximum stable set when S is a maximum stable set of the
 subgraph induced by its closed neighborhood N[S]. The empty set is always a
 member of the family by convention (the greedoid view requires it).
 
-Everything here is exact: forests get the pendant-greedy linear routine,
-everything else goes through exhaustive search that refuses inputs beyond a
-configurable vertex cap instead of approximating.
+Everything here is exact: forests get the lowest-pendant peel of
+graph_core.leaf_peel (a heap-driven O(n log n) peel on bitmask adjacency,
+whose n-bit mask steps dominate at very large n), everything else goes
+through exhaustive search that refuses inputs beyond a configurable vertex
+cap instead of approximating.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import TooLargeForBruteForce, TooLargeForEnumeration
-from .graph_core import Graph, bits_of, induced_subgraph, set_of
+from .errors import InternalError, TooLargeForBruteForce, TooLargeForEnumeration
+from .graph_core import Graph, bits_of, induced_subgraph, leaf_peel, set_of
 
 DEFAULT_BRUTE_FORCE_CAP = 24
 DEFAULT_ENUMERATION_CAP = 20
@@ -148,39 +150,6 @@ def is_stable(g: Graph, s) -> bool:
     return stable_mask(g, m)
 
 
-def _alpha_forest(g: Graph) -> frozenset:
-    """Pendant-greedy maximum stable set of a forest.
-
-    Isolated vertices are always taken; otherwise the lowest-index pendant
-    is taken and its neighbor deleted. Exact on forests, and the fixed
-    scan order makes the witness reproducible.
-    """
-    n = g.vertex_count
-    active = g.full_mask()
-    adj = g._adj
-    chosen = 0
-    while active:
-        progress = False
-        pend = -1
-        for v in bits_of(active):
-            live = adj[v] & active
-            if not live:
-                chosen |= 1 << v
-                active ^= 1 << v
-                progress = True
-            elif pend < 0 and live.bit_count() == 1:
-                pend = v
-        if not active:
-            break
-        if pend >= 0:
-            chosen |= 1 << pend
-            active &= ~((adj[pend] & active) | (1 << pend))
-            progress = True
-        if not progress:  # pragma: no cover - impossible on forests
-            raise AssertionError("no pendant or isolated vertex in a forest")
-    return set_of(chosen)
-
-
 def _alpha_branch_bound(g: Graph) -> frozenset:
     """Exhaustive maximum stable set with pruning.
 
@@ -212,11 +181,15 @@ def _alpha_branch_bound(g: Graph) -> frozenset:
 def alpha(g: Graph, cap: int | None = None) -> StableSetResult:
     """Stability number with a deterministic witness.
 
-    Forests of any size use the pendant-greedy routine; other graphs use
+    Forests of any size use the graph's memoised lowest-pendant peel (the
+    fixed pendant order makes the witness reproducible); other graphs use
     exhaustive search and refuse more than ``cap`` vertices (default 24).
     """
     if g.is_forest:
-        s = _alpha_forest(g)
+        taken, _, leftover = g.peel
+        if leftover:  # pragma: no cover - impossible on forests
+            raise InternalError("no pendant or isolated vertex in a forest")
+        s = set_of(taken)
         return StableSetResult(set=s, size=len(s), method="forest_dp")
     cap = DEFAULT_BRUTE_FORCE_CAP if cap is None else cap
     if g.vertex_count > cap:
@@ -236,8 +209,9 @@ def is_local_max_stable(g: Graph, s, cap: int | None = None) -> bool:
     """Membership test for the local-maximum family.
 
     True iff ``s`` is stable and attains alpha on the subgraph induced by
-    its closed neighborhood. The empty set qualifies. ``cap`` bounds the
-    exhaustive search used when that induced subgraph is not a forest.
+    its closed neighborhood. The empty set qualifies. The neighborhood is
+    peeled first, which is exact whenever the peel consumes it; ``cap``
+    bounds the exhaustive search used when the peel leaves a cyclic core.
     """
     s, sm = g.check_vertices_mask(s)
     if not stable_mask(g, sm):
@@ -247,6 +221,9 @@ def is_local_max_stable(g: Graph, s, cap: int | None = None) -> bool:
     m = 0
     for v in s:
         m |= g.closed_mask(v)
+    taken, _, leftover = leaf_peel(g._adj, m)
+    if not leftover:
+        return taken.bit_count() == len(s)
     sub = induced_subgraph(g, set_of(m))
     return alpha(sub, cap).size == len(s)
 

@@ -2,8 +2,12 @@
 
 The leaf-greedy rule (match the lowest-index pendant to its neighbor,
 delete both, repeat) is exact on forests and gives reproducible witnesses.
-On top of it sits the alternating-path shifting procedure that upgrades any
-maximum matching into one covering every internal vertex.
+It is the pairs half of the graph's memoised graph_core.leaf_peel, a
+heap-driven peel doing O(n log n) heap work on bitmask adjacency (plus n-bit
+mask steps that dominate at very large n), so the matching and the forest
+alpha witness come from one peel. On top of it sits the alternating-path
+shifting procedure that upgrades any maximum matching into one covering
+every internal vertex.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 
 from . import stable_core
 from .errors import InternalError, NotAForestError
-from .graph_core import Graph, bits_of
+from .graph_core import Graph
 
 
 @dataclass(frozen=True)
@@ -57,25 +61,7 @@ def maximum_matching(g: Graph) -> Matching:
     its unique neighbor and deletes both; isolated vertices are dropped.
     """
     _require_forest(g, "maximum_matching")
-    adj = g._adj
-    active = g.full_mask()
-    edges = []
-    while active:
-        pend = -1
-        for v in bits_of(active):
-            live = adj[v] & active
-            if not live:
-                active ^= 1 << v
-            elif live.bit_count() == 1:
-                pend = v
-                break
-        if pend < 0:
-            break
-        nb = adj[pend] & active
-        w = nb.bit_length() - 1
-        edges.append((pend, w) if pend < w else (w, pend))
-        active &= ~((1 << pend) | (1 << w))
-    return Matching.from_edges(edges)
+    return Matching.from_edges(g.peel[1])
 
 
 def internal_cover_matching(g: Graph) -> Matching:
@@ -95,16 +81,11 @@ def internal_cover_matching(g: Graph) -> Matching:
         partner[u] = v
         partner[v] = u
 
-    def exposed_internal():
-        for v in range(n):
-            if partner[v] < 0 and adj[v].bit_count() >= 2:
-                return v
-        return -1
-
-    while True:
-        v = exposed_internal()
-        if v < 0:
-            break
+    # A repair only ever leaves a pendant exposed, so one ascending pass
+    # meets every exposed internal vertex in the order a rescan would.
+    for v in range(n):
+        if partner[v] >= 0 or adj[v].bit_count() < 2:
+            continue
         visited = 1 << v
         e, came_from = v, -1
         while adj[e].bit_count() >= 2:

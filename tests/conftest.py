@@ -3,7 +3,11 @@
 The oracles below work straight off the edge list with itertools-style
 subset enumeration. They are kept independent of the library's bitmask and
 table machinery so that every derived expected value is cross-checked by a
-second route.
+second route. The quadratic pendant scans further down are the library's
+pre-heap forest routines, kept as references for the peel kernel.
+
+Hypothesis runs derandomised under one fixed profile, so every property
+test sees the same examples on every run.
 """
 
 from __future__ import annotations
@@ -11,8 +15,15 @@ from __future__ import annotations
 from itertools import combinations
 
 import pytest
+from hypothesis import HealthCheck, settings
 
-from lmss import Graph, FamilySpec, generate
+from lmss import Graph, FamilySpec, InternalError, Matching, generate
+from lmss.graph_core import bits_of, set_of
+
+settings.register_profile(
+    "lmss", derandomize=True, deadline=None, max_examples=150, database=None,
+    suppress_health_check=[HealthCheck.too_slow])
+settings.load_profile("lmss")
 
 
 # -- naive oracles -----------------------------------------------------------
@@ -89,6 +100,132 @@ def naive_mu(g: Graph) -> int:
             if ok:
                 return k
     return 0
+
+
+# -- quadratic pendant scans (references for graph_core.leaf_peel) -------------
+#
+# Each rescans the whole active mask after every deletion. They pick the
+# lowest-index pendant of what is left, as the heap kernel must.
+
+
+def naive_alpha_forest(g: Graph) -> frozenset:
+    """Pendant-greedy maximum stable set of a forest.
+
+    Isolated vertices are always taken; otherwise the lowest-index pendant
+    is taken and its neighbor deleted. Exact on forests, and the fixed
+    scan order makes the witness reproducible.
+    """
+    n = g.vertex_count
+    active = g.full_mask()
+    adj = g._adj
+    chosen = 0
+    while active:
+        progress = False
+        pend = -1
+        for v in bits_of(active):
+            live = adj[v] & active
+            if not live:
+                chosen |= 1 << v
+                active ^= 1 << v
+                progress = True
+            elif pend < 0 and live.bit_count() == 1:
+                pend = v
+        if not active:
+            break
+        if pend >= 0:
+            chosen |= 1 << pend
+            active &= ~((adj[pend] & active) | (1 << pend))
+            progress = True
+        if not progress:  # pragma: no cover - impossible on forests
+            raise AssertionError("no pendant or isolated vertex in a forest")
+    return set_of(chosen)
+
+
+def naive_maximum_matching(g: Graph) -> Matching:
+    """Leaf-greedy maximum matching of a forest.
+
+    Repeatedly matches the lowest-index pendant of the remaining graph to
+    its unique neighbor and deletes both; isolated vertices are dropped.
+    """
+    adj = g._adj
+    active = g.full_mask()
+    edges = []
+    while active:
+        pend = -1
+        for v in bits_of(active):
+            live = adj[v] & active
+            if not live:
+                active ^= 1 << v
+            elif live.bit_count() == 1:
+                pend = v
+                break
+        if pend < 0:
+            break
+        nb = adj[pend] & active
+        w = nb.bit_length() - 1
+        edges.append((pend, w) if pend < w else (w, pend))
+        active &= ~((1 << pend) | (1 << w))
+    return Matching.from_edges(edges)
+
+
+def naive_mask_matching_cover(adj: list, universe: int) -> int:
+    """Covered-vertex mask of the leaf-greedy maximum matching of the forest
+    induced on ``universe``."""
+    active = universe
+    covered = 0
+    while active:
+        pend = -1
+        for v in bits_of(active):
+            live = adj[v] & active
+            if not live:
+                active ^= 1 << v
+            elif live.bit_count() == 1:
+                pend = v
+                break
+        if pend < 0:
+            break
+        w = (adj[pend] & active).bit_length() - 1
+        covered |= (1 << pend) | (1 << w)
+        active &= ~((1 << pend) | (1 << w))
+    return covered
+
+
+def naive_internal_cover_matching(g: Graph) -> Matching:
+    """Internal-cover repair that rescans from vertex 0 after every repair,
+    starting from the quadratic leaf-greedy matching."""
+    n = g.vertex_count
+    adj = g._adj
+    partner = [-1] * n
+    for u, v in naive_maximum_matching(g).edges:
+        partner[u] = v
+        partner[v] = u
+
+    def exposed_internal():
+        for v in range(n):
+            if partner[v] < 0 and adj[v].bit_count() >= 2:
+                return v
+        return -1
+
+    while True:
+        v = exposed_internal()
+        if v < 0:
+            break
+        visited = 1 << v
+        e, came_from = v, -1
+        while adj[e].bit_count() >= 2:
+            choices = adj[e] & ~((1 << came_from) if came_from >= 0 else 0)
+            q = (choices & -choices).bit_length() - 1
+            if partner[q] < 0:
+                raise InternalError("maximum matching left two adjacent exposed vertices")
+            r = partner[q]
+            if visited & ((1 << r) | (1 << q)):
+                raise InternalError("alternating walk revisited a vertex in a forest")
+            visited |= (1 << q) | (1 << r)
+            partner[e], partner[q] = q, e
+            partner[r] = -1
+            e, came_from = r, q
+    edges = [(v, partner[v]) for v in range(n) if 0 <= partner[v] and v < partner[v]]
+    return Matching.from_edges(edges)
 
 
 # -- fixture graphs ----------------------------------------------------------

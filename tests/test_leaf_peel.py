@@ -1,0 +1,88 @@
+"""The lowest-pendant peel kernel against the quadratic scans it replaced."""
+
+from hypothesis import given, strategies as st
+
+from lmss import Graph, alpha, is_local_max_stable, maximum_matching
+from lmss.graph_core import leaf_peel
+from lmss.greedoid_engine import _mask_matching_cover
+from conftest import (
+    cycle,
+    naive_alpha_forest,
+    naive_is_local_max_stable,
+    naive_mask_matching_cover,
+    naive_maximum_matching,
+    path,
+)
+
+
+@st.composite
+def forests(draw, max_n=80):
+    """Random forests with shuffled indices; ``roots`` tunes how many
+    vertices start a new tree, so isolated vertices come up often."""
+    n = draw(st.integers(1, max_n))
+    order = draw(st.permutations(range(n)))
+    roots = draw(st.integers(0, n))
+    edges = []
+    for i in range(1, n):
+        p = draw(st.integers(-roots, i - 1))
+        if p >= 0:
+            edges.append((order[i], order[p]))
+    return Graph([f"v{i}" for i in range(n)], edges)
+
+
+@st.composite
+def graphs_with_probe(draw, max_n=12):
+    """A random graph (cycles welcome) and a probe set, made stable greedily
+    so most probes reach the neighborhood peel."""
+    n = draw(st.integers(2, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs)))
+    g = Graph([f"v{i}" for i in range(n)], edges)
+    probe = set()
+    for v in draw(st.lists(st.integers(0, n - 1), max_size=n)):
+        if not any(g.has_edge(v, u) for u in probe):
+            probe.add(v)
+    return g, frozenset(probe)
+
+
+class TestKernel:
+    def test_cycle_is_left_whole(self):
+        g = cycle(5)
+        assert leaf_peel(g._adj, g.full_mask()) == (0, (), g.full_mask())
+
+    def test_deleting_y_can_break_a_cycle(self):
+        # triangle a-b-c with pendant d on a: d takes a, then b-c peels
+        g = Graph(["a", "b", "c", "d"], [(0, 1), (1, 2), (0, 2), (0, 3)])
+        assert leaf_peel(g._adj, g.full_mask()) == (0b1010, ((3, 0), (1, 2)), 0)
+
+    def test_isolated_vertices_are_taken(self):
+        g = Graph(["a", "b", "c", "d"], [(1, 2)])
+        assert leaf_peel(g._adj, g.full_mask()) == (0b1011, ((1, 2),), 0)
+
+    def test_star_center_strands_its_leaves(self):
+        g = Graph(["c", "x", "y", "z"], [(0, 1), (0, 2), (0, 3)])
+        assert leaf_peel(g._adj, g.full_mask()) == (0b1110, ((1, 0),), 0)
+
+    def test_restricted_to_active(self):
+        g = path(6)
+        assert leaf_peel(g._adj, 0b011110) == (0b001010, ((1, 2), (3, 4)), 0)
+
+    def test_graph_memoises_its_peel(self):
+        g = path(7)
+        assert g.peel is g.peel
+        assert g.peel == leaf_peel(g._adj, g.full_mask())
+
+
+@given(forests(), st.integers(0, (1 << 80) - 1))
+def test_forest_witnesses_match_quadratic_scans(g, universe_bits):
+    assert alpha(g).set == naive_alpha_forest(g)
+    assert maximum_matching(g).edges == naive_maximum_matching(g).edges
+    universe = universe_bits & g.full_mask()
+    for u in (g.full_mask(), universe):
+        assert _mask_matching_cover(g._adj, u) == naive_mask_matching_cover(g._adj, u)
+
+
+@given(graphs_with_probe())
+def test_local_max_membership_matches_naive(case):
+    g, probe = case
+    assert is_local_max_stable(g, probe) == naive_is_local_max_stable(g, probe)

@@ -10,7 +10,7 @@ from lmss import (
     maximum_matching,
     verify_konig_egervary,
 )
-from conftest import naive_alpha, naive_mu, path
+from conftest import naive_alpha, naive_internal_cover_matching, naive_mu, path
 
 K13 = Graph(["c", "x", "y", "z"], [(0, 1), (0, 2), (0, 3)])
 
@@ -83,6 +83,12 @@ class TestInternalCoverMatching:
             assert len(m) == len(maximum_matching(g))
             exposed = set(range(g.vertex_count)) - m.covered
             assert all(g.degree(v) <= 1 for v in exposed)
+
+    def test_single_pass_matches_rescanning_repair(self, fig4):
+        trees = [fig4] + [generate(FamilySpec("random_tree", n=n, seed=500 + n))
+                          for n in range(2, 90)]
+        for t in trees:
+            assert internal_cover_matching(t).edges == naive_internal_cover_matching(t).edges
 
 
 class TestKonigEgervary:
