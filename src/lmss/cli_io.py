@@ -3,7 +3,8 @@
 File format (line oriented, '#' starts a comment):
 
     p <n> <m>        header: vertex and edge counts
-    v <label>        n vertex lines; labels are whitespace-free tokens
+    v <label>        n vertex lines; labels are non-empty tokens free of
+                     whitespace and '#' (Graph refuses any other label)
     e <label> <label>  m edge lines
 
 Explicit vertex declaration keeps isolated vertices and custom labels intact.
@@ -216,7 +217,8 @@ def _emit_dot(g: Graph, marked=None) -> str:
     marked = frozenset() if marked is None else frozenset(marked)
     lines = ["graph g {"]
     for i, lbl in enumerate(g.labels):
-        attrs = f'label="{lbl}"'
+        quoted = lbl.replace("\\", "\\\\").replace('"', '\\"')
+        attrs = f'label="{quoted}"'
         if i in marked:
             attrs += ', style=filled, fillcolor=gray'
         lines.append(f'  n{i} [{attrs}];')
@@ -231,7 +233,8 @@ def emit(obj, fmt: str = "text", graph: Graph | None = None) -> str:
 
     json output is canonical (stable key order, sets sorted); dot output is
     only defined for graphs, optionally with a marked vertex set supplied as
-    a (graph, set) pair via StableSetResult or frozenset.
+    a (graph, set) pair via StableSetResult or frozenset, and escapes '\\'
+    and '"' in its quoted labels.
     """
     if fmt == "json":
         return json.dumps(to_jsonable(obj, graph), indent=2, ensure_ascii=False) + "\n"

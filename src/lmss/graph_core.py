@@ -1,13 +1,16 @@
 """Immutable labeled simple graphs and the basic structural queries.
 
 Vertices are dense indices 0..n-1; every vertex carries a distinct string
-label so example graphs and test fixtures stay readable in I/O. Adjacency is
+label so example graphs and test fixtures stay readable in I/O. A label is a
+non-empty token without whitespace or '#', so every graph written in the
+text format parses back; Graph refuses any other label. Adjacency is
 kept as one bitmask per vertex, which the enumeration and certificate
 machinery in the other modules relies on.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, Iterator, Sequence
@@ -15,6 +18,8 @@ from typing import Iterable, Iterator, Sequence
 from .errors import InvalidVertexError, SelfLoopError
 
 VertexSet = frozenset  # subset of vertex indices of a specific Graph
+
+_LABEL_BREAK = re.compile(r"[\s#]")
 
 
 def bits_of(mask: int) -> Iterator[int]:
@@ -34,6 +39,31 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 def set_of(mask: int) -> frozenset:
     return frozenset(bits_of(mask))
+
+
+def closed_mask_of(adj: list, mask: int) -> int:
+    """N[S] as a bitmask, for the vertex set S given by ``mask``."""
+    closed = mask
+    for v in bits_of(mask):
+        closed |= adj[v]
+    return closed
+
+
+def component_masks(adj: list, universe: int) -> list:
+    """Connected components of the subgraph induced on ``universe``, as
+    masks ordered by their lowest vertex."""
+    components = []
+    while universe:
+        comp = frontier = universe & -universe
+        while frontier:
+            grow = 0
+            for v in bits_of(frontier):
+                grow |= adj[v]
+            frontier = grow & universe & ~comp
+            comp |= frontier
+        universe ^= comp
+        components.append(comp)
+    return components
 
 
 def leaf_peel(adj: list, active: int) -> tuple[int, tuple, int]:
@@ -105,6 +135,9 @@ class Graph:
 
     def __init__(self, labels: Sequence[str], edges: Iterable[tuple[int, int]] = ()):
         labels = tuple(labels)
+        if "" in labels or _LABEL_BREAK.search("".join(labels)):
+            bad = next(lbl for lbl in labels if not lbl or _LABEL_BREAK.search(lbl))
+            raise ValueError(f"vertex label {bad!r} is empty or holds whitespace or '#'")
         n = len(labels)
         index = {}
         for i, lbl in enumerate(labels):
@@ -236,11 +269,7 @@ def closed_neighborhood(g: Graph, a: Iterable[int]) -> frozenset:
 
     The empty set has empty closed neighborhood.
     """
-    s = g.check_vertices(a)
-    m = 0
-    for v in s:
-        m |= g.closed_mask(v)
-    return set_of(m)
+    return set_of(closed_mask_of(g._adj, g.check_vertices_mask(a)[1]))
 
 
 def induced_subgraph(g: Graph, a: Iterable[int]) -> Graph:
@@ -271,20 +300,7 @@ def decompose(g: Graph) -> ComponentDecomposition:
     order->1 convention, is_tree additionally requires at least 2 vertices.
     """
     n = g.vertex_count
-    unvisited = g.full_mask()
-    components = []
-    while unvisited:
-        start = unvisited & -unvisited
-        comp = start
-        frontier = start
-        while frontier:
-            grow = 0
-            for v in bits_of(frontier):
-                grow |= g.adjacency_mask(v)
-            frontier = grow & unvisited & ~comp
-            comp |= frontier
-        unvisited &= ~comp
-        components.append(set_of(comp))
+    components = tuple(set_of(c) for c in component_masks(g._adj, g.full_mask()))
     is_forest = g.edge_count == n - len(components)
     is_tree = is_forest and len(components) == 1 and n >= 2
-    return ComponentDecomposition(tuple(components), is_forest, is_tree)
+    return ComponentDecomposition(components, is_forest, is_tree)

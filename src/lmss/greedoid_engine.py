@@ -6,17 +6,26 @@ algorithms that produce nested chains and exchange witnesses on forests, and
 an exhaustive verifier that checks the two axioms on arbitrary small graphs
 and reports every violation (cycles and the counterexample families live in
 graph_families).
+
+Every function that asks "is this set in the family?" picks its route once,
+in _membership: the oracle's table lookup when a SubsetOracle is passed,
+otherwise the direct closed-neighborhood check of stable_core.in_psi_mask
+(the neighborhood peel, with exhaustive search above ``cap`` only when the
+peel leaves a cyclic core). The engine then works on vertex bitmasks and
+freezes sets only at the public boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Optional
 
 from . import stable_core
 from .errors import (
     AccessibilityFailure,
     InternalError,
+    InvalidVertexError,
     K2BaseCase,
     NotAForestError,
     NotDisjointOrNotStableError,
@@ -25,7 +34,8 @@ from .errors import (
     NotPerfectTreeError,
     SizeMismatchError,
 )
-from .graph_core import Graph, bits_of, decompose, leaf_peel, mask_of, set_of
+from .graph_core import (Graph, bits_of, closed_mask_of, component_masks, decompose,
+                         leaf_peel, mask_of, set_of)
 from .stable_core import SubsetOracle, canonical_sets
 from .tree_matching import maximum_matching
 
@@ -59,25 +69,36 @@ class GreedoidReport:
     exchange_violations: tuple  # tuple[(smaller, larger) frozenset pairs]
 
 
-def _in_psi(g: Graph, s: frozenset, oracle: SubsetOracle | None, cap,
-            mask: int | None = None) -> bool:
+def _membership(g: Graph, oracle: SubsetOracle | None, cap):
+    """The family-membership predicate on vertex masks of ``g``: the
+    oracle's table lookup when one is given, else the direct check."""
     if oracle is not None:
-        return oracle.in_psi_mask(mask_of(s) if mask is None else mask)
-    return stable_core.is_local_max_stable(g, s, cap)
+        return oracle.in_psi_mask
+    return partial(stable_core.in_psi_mask, g, cap=cap)
 
 
 def chain_is_valid(cert: ChainCertificate, oracle: SubsetOracle | None = None,
                    cap: int | None = None) -> bool:
     """Check a certificate from scratch: sizes 1..k, strict nesting, and
-    family membership of every prefix."""
+    family membership of every prefix (by the oracle when one is given).
+
+    Each prefix is validated against the graph before it is used, so both
+    routes raise InvalidVertexError on a foreign vertex.
+    """
     g = cert.graph
-    prev: frozenset = frozenset()
+    n = g.vertex_count
+    in_psi = _membership(g, oracle, cap)
+    prev = 0
     for i, s in enumerate(cert.chain, start=1):
-        if len(s) != i or not prev < s:
+        try:
+            m = mask_of(s)
+        except (TypeError, ValueError):
+            raise InvalidVertexError(f"non-index member in {s!r}") from None
+        if m >> n:
+            raise InvalidVertexError(f"vertex set {sorted(s)} exceeds range 0..{n - 1}")
+        if m.bit_count() != i or prev & ~m or not in_psi(m):
             return False
-        if not _in_psi(g, s, oracle, cap):
-            return False
-        prev = s
+        prev = m
     return True
 
 
@@ -96,15 +117,11 @@ def pendant_k2_edge(g: Graph) -> tuple[int, int]:
         raise NotPerfectTreeError("tree has no perfect matching")
     if g.vertex_count == 2:
         raise K2BaseCase("two-vertex tree: peeling recursion bottoms out")
-    for x in range(g.vertex_count):
-        if g.degree(x) == 1:
-            y = g.adjacency_mask(x).bit_length() - 1
-            if g.degree(y) == 2:
-                e = (x, y) if x < y else (y, x)
-                if e not in matching.edges:  # pragma: no cover - forced for pendants
-                    raise InternalError("pendant edge missing from the perfect matching")
-                return (x, y)
-    raise InternalError("perfect tree without a pendant-K2 edge")  # pragma: no cover
+    x, y = _mask_pendant_k2(g._adj, g.full_mask())
+    e = (x, y) if x < y else (y, x)
+    if e not in matching.edges:  # pragma: no cover - forced for pendants
+        raise InternalError("pendant edge missing from the perfect matching")
+    return (x, y)
 
 
 def union_local_max(g: Graph, a, b, oracle: SubsetOracle | None = None,
@@ -112,18 +129,19 @@ def union_local_max(g: Graph, a, b, oracle: SubsetOracle | None = None,
     """Union of two disjoint family members whose union is stable.
 
     The union is again a local maximum stable set (in any graph); this is
-    asserted on the result before returning it.
+    asserted on the result before returning it. Membership is read from the
+    oracle when one is given, else checked directly.
     """
     a, ma = g.check_vertices_mask(a)
     b, mb = g.check_vertices_mask(b)
-    if not _in_psi(g, a, oracle, cap, ma) or not _in_psi(g, b, oracle, cap, mb):
+    in_psi = _membership(g, oracle, cap)
+    if not in_psi(ma) or not in_psi(mb):
         raise NotInPsiError("both operands must be local maximum stable sets")
     if ma & mb or not stable_core.stable_mask(g, ma | mb):
         raise NotDisjointOrNotStableError("operands must be disjoint with a stable union")
-    u = a | b
-    if not _in_psi(g, u, oracle, cap, ma | mb):  # pragma: no cover - excluded by theory
+    if not in_psi(ma | mb):  # pragma: no cover - excluded by theory
         raise InternalError("union of disjoint members left the family")
-    return u
+    return a | b
 
 
 def nt_extend(g: Graph, s1, s2, oracle: SubsetOracle | None = None,
@@ -132,23 +150,21 @@ def nt_extend(g: Graph, s1, s2, oracle: SubsetOracle | None = None,
     using only vertices of the maximum stable set ``s2``.
 
     Takes s3 = s2 - N[s1] and returns s1 | s3; the result is maximum in any
-    graph, which is asserted before returning.
+    graph, which is asserted before returning. Membership of ``s1`` and
+    alpha come from the oracle when one is given, else from the direct
+    check and stable_core.alpha.
     """
-    s1, m1 = g.check_vertices_mask(s1)
-    s2, m2 = g.check_vertices_mask(s2)
-    if not _in_psi(g, s1, oracle, cap, m1):
+    _, m1 = g.check_vertices_mask(s1)
+    _, m2 = g.check_vertices_mask(s2)
+    if not _membership(g, oracle, cap)(m1):
         raise NotInPsiError("s1 is not a local maximum stable set")
     a = oracle.alpha() if oracle is not None else stable_core.alpha(g, cap).size
-    if len(s2) != a or not stable_core.stable_mask(g, m2):
+    if m2.bit_count() != a or not stable_core.stable_mask(g, m2):
         raise NotMaximumError("s2 is not a maximum stable set")
-    closed = 0
-    for v in s1:
-        closed |= g.closed_mask(v)
-    s3 = frozenset(v for v in s2 if not closed & (1 << v))
-    result = s1 | s3
-    if len(result) != a or not stable_core.stable_mask(g, mask_of(result)):  # pragma: no cover
+    result = m1 | (m2 & ~closed_mask_of(g._adj, m1))
+    if result.bit_count() != a or not stable_core.stable_mask(g, result):  # pragma: no cover
         raise InternalError("extension missed the stability number")
-    return result
+    return set_of(result)
 
 
 def exchange_witness(g: Graph, s1, s2, oracle: SubsetOracle | None = None,
@@ -157,29 +173,22 @@ def exchange_witness(g: Graph, s1, s2, oracle: SubsetOracle | None = None,
 
     On forests a witness always exists; coming up empty there raises
     InternalError. On other graphs absence is reported, not raised, so the
-    counterexample families can be explored.
+    counterexample families can be explored. Membership is read from the
+    oracle when one is given, else checked directly.
     """
     s1, m1 = g.check_vertices_mask(s1)
     s2, m2 = g.check_vertices_mask(s2)
     if len(s2) != len(s1) + 1:
         raise SizeMismatchError(f"|s2|={len(s2)} must be |s1|+1={len(s1) + 1}")
-    if oracle is not None:
-        in_psi = oracle.in_psi_mask
-        if not in_psi(m1) or not in_psi(m2):
-            raise NotInPsiError("both sets must be local maximum stable sets")
-        diff = m2 & ~m1
-        while diff:
-            low = diff & -diff
-            diff ^= low
-            if in_psi(m1 | low):
-                return ExchangeWitness(s1, s2, low.bit_length() - 1)
-    else:
-        if not stable_core.is_local_max_stable(g, s1, cap) \
-                or not stable_core.is_local_max_stable(g, s2, cap):
-            raise NotInPsiError("both sets must be local maximum stable sets")
-        for v in sorted(s2 - s1):
-            if stable_core.is_local_max_stable(g, s1 | {v}, cap):
-                return ExchangeWitness(s1, s2, v)
+    in_psi = _membership(g, oracle, cap)
+    if not in_psi(m1) or not in_psi(m2):
+        raise NotInPsiError("both sets must be local maximum stable sets")
+    diff = m2 & ~m1
+    while diff:
+        low = diff & -diff
+        diff ^= low
+        if in_psi(m1 | low):
+            return ExchangeWitness(s1, s2, low.bit_length() - 1)
     if g.is_forest:
         raise InternalError("exchange witness missing on a forest")
     return ExchangeWitness(s1, s2, None)
@@ -188,27 +197,20 @@ def exchange_witness(g: Graph, s1, s2, oracle: SubsetOracle | None = None,
 # -- chain construction ------------------------------------------------------
 
 
-def _greedy_peel_masks(g: Graph, s_mask: int, oracle, cap) -> list:
+def _greedy_peel_masks(in_psi, s_mask: int) -> list:
     chain = []
     cur = s_mask
     while cur:
         chain.append(cur)
-        nxt = -1
         rest = cur
         while rest:
             low = rest & -rest
             rest ^= low
-            cand = cur ^ low
-            if oracle is not None:
-                ok = oracle.in_psi_mask(cand)
-            else:
-                ok = stable_core.is_local_max_stable(g, set_of(cand), cap)
-            if ok:
-                nxt = cand
+            if in_psi(cur ^ low):
+                cur ^= low
                 break
-        if nxt < 0:
+        else:
             raise AccessibilityFailure(set_of(cur))
-        cur = nxt
     chain.reverse()
     return chain
 
@@ -280,25 +282,9 @@ def _component_chain(adj: list, comp: int, sc: int) -> list:
 
 def _constructive_chain_masks(g: Graph, s_mask: int) -> list:
     adj = list(g._adj)
-    h_mask = 0
-    for v in bits_of(s_mask):
-        h_mask |= adj[v] | (1 << v)
-    comps = []
-    un = h_mask
-    while un:
-        comp = un & -un
-        frontier = comp
-        while frontier:
-            grow = 0
-            for v in bits_of(frontier):
-                grow |= adj[v]
-            frontier = grow & h_mask & ~comp
-            comp |= frontier
-        un &= ~comp
-        comps.append(comp)
     chain = []
     prefix = 0
-    for comp in comps:
+    for comp in component_masks(adj, closed_mask_of(adj, s_mask)):
         sc = s_mask & comp
         for m in _component_chain(adj, comp, sc):
             chain.append(prefix | m)
@@ -318,20 +304,23 @@ def chain_decompose(g: Graph, s, strategy: str = "greedy_peel",
     the structural route instead: split the induced neighborhood into
     components, embed each non-perfect component into a perfect tree, peel
     pendant-K2 edges, and rejoin the component chains by disjoint union.
+
+    Membership is read from the oracle when one is given, else checked
+    directly. The constructive chain is re-checked against the family only
+    when an oracle is given, where each check is one table lookup.
     """
-    s, s_mask = g.check_vertices_mask(s)
-    if not _in_psi(g, s, oracle, cap, s_mask):
+    _, s_mask = g.check_vertices_mask(s)
+    in_psi = _membership(g, oracle, cap)
+    if not in_psi(s_mask):
         raise NotInPsiError("target set is not a local maximum stable set")
     if strategy == "greedy_peel":
-        masks = _greedy_peel_masks(g, s_mask, oracle, cap)
+        masks = _greedy_peel_masks(in_psi, s_mask)
     elif strategy == "constructive":
         if not g.is_forest:
             raise NotAForestError("constructive strategy requires a forest")
         masks = _constructive_chain_masks(g, s_mask)
-        if oracle is not None:
-            for m in masks:
-                if not oracle.in_psi_mask(m):  # pragma: no cover - theory
-                    raise InternalError("constructive chain left the family")
+        if oracle is not None and not all(map(in_psi, masks)):  # pragma: no cover - theory
+            raise InternalError("constructive chain left the family")
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     return ChainCertificate(graph=g, chain=_nested_sets(masks), strategy=strategy)

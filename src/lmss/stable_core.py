@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalError, TooLargeForBruteForce, TooLargeForEnumeration
-from .graph_core import Graph, bits_of, induced_subgraph, leaf_peel, set_of
+from .graph_core import Graph, bits_of, closed_mask_of, induced_subgraph, leaf_peel, set_of
 
 DEFAULT_BRUTE_FORCE_CAP = 24
 DEFAULT_ENUMERATION_CAP = 20
@@ -205,27 +205,27 @@ def enumerate_omega(g: Graph, cap: int | None = None) -> list:
     return canonical_sets(oracle.omega_masks())
 
 
-def is_local_max_stable(g: Graph, s, cap: int | None = None) -> bool:
-    """Membership test for the local-maximum family.
+def in_psi_mask(g: Graph, mask: int, cap: int | None = None) -> bool:
+    """Family membership of a validated vertex bitmask, checked directly.
 
-    True iff ``s`` is stable and attains alpha on the subgraph induced by
+    True iff the set is stable and attains alpha on the subgraph induced by
     its closed neighborhood. The empty set qualifies. The neighborhood is
     peeled first, which is exact whenever the peel consumes it; ``cap``
     bounds the exhaustive search used when the peel leaves a cyclic core.
     """
-    s, sm = g.check_vertices_mask(s)
-    if not stable_mask(g, sm):
+    if not stable_mask(g, mask):
         return False
-    if not s:
-        return True
-    m = 0
-    for v in s:
-        m |= g.closed_mask(v)
-    taken, _, leftover = leaf_peel(g._adj, m)
+    closed = closed_mask_of(g._adj, mask)
+    taken, _, leftover = leaf_peel(g._adj, closed)
     if not leftover:
-        return taken.bit_count() == len(s)
-    sub = induced_subgraph(g, set_of(m))
-    return alpha(sub, cap).size == len(s)
+        return taken.bit_count() == mask.bit_count()
+    return alpha(induced_subgraph(g, set_of(closed)), cap).size == mask.bit_count()
+
+
+def is_local_max_stable(g: Graph, s, cap: int | None = None) -> bool:
+    """Membership test for the local-maximum family: in_psi_mask on the
+    validated vertex set ``s``."""
+    return in_psi_mask(g, g.check_vertices_mask(s)[1], cap)
 
 
 def enumerate_psi(g: Graph, cap: int | None = None) -> PsiFamily:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import combinations
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, settings, strategies as st
 
 from lmss import Graph, FamilySpec, InternalError, Matching, generate
 from lmss.graph_core import bits_of, set_of
@@ -226,6 +226,32 @@ def naive_internal_cover_matching(g: Graph) -> Matching:
             e, came_from = r, q
     edges = [(v, partner[v]) for v in range(n) if 0 <= partner[v] and v < partner[v]]
     return Matching.from_edges(edges)
+
+
+# -- hypothesis strategies ---------------------------------------------------
+
+
+@st.composite
+def forests(draw, max_n=80):
+    """Random forests with shuffled indices; ``roots`` tunes how many
+    vertices start a new tree, so isolated vertices come up often."""
+    n = draw(st.integers(1, max_n))
+    order = draw(st.permutations(range(n)))
+    roots = draw(st.integers(0, n))
+    edges = []
+    for i in range(1, n):
+        p = draw(st.integers(-roots, i - 1))
+        if p >= 0:
+            edges.append((order[i], order[p]))
+    return Graph([f"v{i}" for i in range(n)], edges)
+
+
+@st.composite
+def graphs(draw, max_n=12):
+    """Random graphs on 2..``max_n`` vertices, any edge set (cycles welcome)."""
+    n = draw(st.integers(2, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph([f"v{i}" for i in range(n)], draw(st.sets(st.sampled_from(pairs))))
 
 
 # -- fixture graphs ----------------------------------------------------------

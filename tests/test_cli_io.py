@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lmss import (
     DuplicateEdgeWarning,
@@ -20,6 +21,26 @@ from lmss import (
     verify_konig_egervary,
 )
 from conftest import labels_to_set
+
+
+@st.composite
+def labeled_graphs(draw, max_n=8):
+    """A graph on mostly token-like labels, one of them sometimes arbitrary
+    text, or None when Graph refuses the labels."""
+    any_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=4)
+    tokens = st.text(st.characters(blacklist_categories=("Cs",),
+                                   blacklist_characters="# \t\n"), min_size=1, max_size=4)
+    labels = draw(st.lists(tokens, max_size=max_n, unique=True))
+    if labels and draw(st.booleans()):
+        labels[draw(st.integers(0, len(labels) - 1))] = draw(any_text)
+    n = len(labels)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else ()
+    try:
+        return Graph(labels, edges)
+    except ValueError:
+        return None
+
 
 K2_TEXT = "p 2 1\nv u\nv v\ne u v\n"
 
@@ -101,6 +122,12 @@ class TestRoundTrip:
         g = Graph(["z", "y", "x"], [(0, 2)])
         assert parse_graph(emit(g, "text")).graph == g
 
+    @given(labeled_graphs())
+    def test_every_graph_round_trips(self, g):
+        # whatever Graph accepts must serialise to text that parses back
+        if g is not None:
+            assert parse_graph(emit(g, "text")).graph == g
+
 
 class TestEmit:
     def test_alpha_json_schema(self, fig1):
@@ -127,6 +154,10 @@ class TestEmit:
     def test_dot_k2(self, k2):
         dot = emit(k2, "dot")
         assert dot.count("--") == 1 and dot.count("label=") == 2
+
+    def test_dot_escapes_quotes_and_backslashes(self):
+        dot = emit(Graph(['x"y', "a\\b"]), "dot")
+        assert 'label="x\\"y"' in dot and 'label="a\\\\b"' in dot
 
     def test_dot_marked_set(self, p4):
         dot = emit(alpha(p4), "dot", graph=p4)

@@ -36,6 +36,11 @@ class TestGraphConstruction:
         with pytest.raises(ValueError):
             Graph(["a", "a"])
 
+    @pytest.mark.parametrize("label", ["", "a b", "a\tb", "a\nb", "\u00a0", "a#b", "#"])
+    def test_rejects_labels_the_text_format_cannot_hold(self, label):
+        with pytest.raises(ValueError, match="empty or holds whitespace"):
+            Graph(["ok", label])
+
     def test_rejects_out_of_range_edge(self):
         with pytest.raises(InvalidVertexError):
             Graph(["a", "b"], [(0, 2)])

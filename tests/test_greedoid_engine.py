@@ -1,10 +1,14 @@
 import pytest
+from hypothesis import given, strategies as st
 
+from lmss.graph_core import mask_of, set_of
 from lmss.stable_core import canonical_sets
 from lmss import (
     AccessibilityFailure,
+    ChainCertificate,
     FamilySpec,
     Graph,
+    InvalidVertexError,
     K2BaseCase,
     NotAForestError,
     NotDisjointOrNotStableError,
@@ -21,6 +25,7 @@ from lmss import (
     exchange_witness,
     fig7_exchange_pair,
     generate,
+    is_local_max_stable,
     nt_extend,
     pendant_k2_edge,
     union_local_max,
@@ -28,6 +33,8 @@ from lmss import (
 )
 from conftest import (
     cycle,
+    forests,
+    graphs,
     labels_to_set,
     naive_is_local_max_stable,
     naive_omega,
@@ -169,21 +176,54 @@ class TestExchangeWitness:
         w = exchange_witness(g, {1}, {2, 3})
         assert w.witness == 2
 
-    def test_oracle_and_direct_agree(self):
-        rng = SplitMix64(20)
-        for trial in range(15):
-            g = random_graph(2 + rng.below(6), 30, rng)
-            oracle = SubsetOracle(g)
-            members = sorted(naive_psi(g), key=lambda s: (len(s), sorted(s)))
-            for s1 in members:
-                for s2 in members:
-                    if len(s2) != len(s1) + 1:
-                        continue
-                    a = exchange_witness(g, s1, s2)
-                    b = exchange_witness(g, s1, s2, oracle=oracle)
-                    if g.is_forest:
-                        assert a.witness is not None
-                    assert a == b
+    @given(st.one_of(forests(max_n=10), graphs(max_n=10)), st.data())
+    def test_oracle_and_direct_agree(self, g, data):
+        # every entry point answers alike (or raises alike) on both
+        # membership routes, and both routes match the naive oracle
+        oracle = SubsetOracle(g)
+        members, omega = oracle.psi_masks(), oracle.omega_masks()
+        any_set = st.integers(0, g.full_mask())
+        m1 = data.draw(st.one_of(st.sampled_from(members), any_set))
+        bigger = [m for m in members if m.bit_count() == m1.bit_count() + 1]
+        m2 = data.draw(st.one_of(st.sampled_from(bigger), any_set) if bigger else any_set)
+        m_max = data.draw(st.one_of(st.sampled_from(omega), any_set))
+        m_other = data.draw(st.one_of(st.sampled_from(members), any_set))
+        s1, s2, s_max, s_other = map(set_of, (m1, m2, m_max, m_other))
+        order = data.draw(st.permutations(sorted(s_other)))
+        prefixes = tuple(frozenset(order[:i]) for i in range(1, len(order) + 1))
+        for s in (s1, s2, s_max, s_other):
+            assert (is_local_max_stable(g, s) == oracle.in_psi_mask(mask_of(s))
+                    == naive_is_local_max_stable(g, s))
+
+        def outcomes(route):
+            def run(fn, *args, **kwargs):
+                try:
+                    return fn(*args, oracle=route, **kwargs)
+                except AccessibilityFailure as exc:
+                    return AccessibilityFailure, exc.stuck_set
+                except (NotInPsiError, SizeMismatchError, NotMaximumError,
+                        NotDisjointOrNotStableError, NotAForestError) as exc:
+                    return type(exc)
+
+            cert = ChainCertificate(g, prefixes, "greedy_peel")
+            return [run(exchange_witness, g, s1, s2),
+                    run(chain_decompose, g, s_other),
+                    run(chain_decompose, g, s_other, "constructive"),
+                    run(chain_is_valid, cert),
+                    run(nt_extend, g, s1, s_max),
+                    run(union_local_max, g, s1, s_other)]
+
+        direct = outcomes(None)
+        assert direct == outcomes(oracle)
+        assert direct[3] == all(naive_is_local_max_stable(g, p) for p in prefixes)
+
+    @pytest.mark.parametrize("route", ["direct", "oracle"])
+    @pytest.mark.parametrize("bad", [99, -1, "a"])
+    def test_chain_is_valid_rejects_foreign_vertices(self, p6, route, bad):
+        oracle = SubsetOracle(p6) if route == "oracle" else None
+        cert = ChainCertificate(p6, (frozenset({0}), frozenset({0, bad})), "greedy_peel")
+        with pytest.raises(InvalidVertexError):
+            chain_is_valid(cert, oracle=oracle)
 
 
 class TestChainDecompose:

@@ -7,6 +7,8 @@ from lmss.graph_core import leaf_peel
 from lmss.greedoid_engine import _mask_matching_cover
 from conftest import (
     cycle,
+    forests,
+    graphs,
     naive_alpha_forest,
     naive_is_local_max_stable,
     naive_mask_matching_cover,
@@ -16,28 +18,11 @@ from conftest import (
 
 
 @st.composite
-def forests(draw, max_n=80):
-    """Random forests with shuffled indices; ``roots`` tunes how many
-    vertices start a new tree, so isolated vertices come up often."""
-    n = draw(st.integers(1, max_n))
-    order = draw(st.permutations(range(n)))
-    roots = draw(st.integers(0, n))
-    edges = []
-    for i in range(1, n):
-        p = draw(st.integers(-roots, i - 1))
-        if p >= 0:
-            edges.append((order[i], order[p]))
-    return Graph([f"v{i}" for i in range(n)], edges)
-
-
-@st.composite
 def graphs_with_probe(draw, max_n=12):
     """A random graph (cycles welcome) and a probe set, made stable greedily
     so most probes reach the neighborhood peel."""
-    n = draw(st.integers(2, max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = draw(st.sets(st.sampled_from(pairs)))
-    g = Graph([f"v{i}" for i in range(n)], edges)
+    g = draw(graphs(max_n))
+    n = g.vertex_count
     probe = set()
     for v in draw(st.lists(st.integers(0, n - 1), max_size=n)):
         if not any(g.has_edge(v, u) for u in probe):
