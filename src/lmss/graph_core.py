@@ -131,7 +131,8 @@ class Graph:
     filtering are realized by constructing new graphs.
     """
 
-    __slots__ = ("labels", "edges", "vertex_count", "_index", "_adj", "_forest", "_peel")
+    __slots__ = ("labels", "edges", "vertex_count", "_index", "_adj", "_forest", "_peel",
+                 "_oracle")
 
     def __init__(self, labels: Sequence[str], edges: Iterable[tuple[int, int]] = ()):
         labels = tuple(labels)
@@ -164,6 +165,7 @@ class Graph:
         self._adj = adj
         self._forest = None
         self._peel = None
+        self._oracle = None  # stable_core's subset tables, built on first use
 
     @classmethod
     def from_label_pairs(cls, labels: Sequence[str], pairs: Iterable[tuple[str, str]]) -> "Graph":

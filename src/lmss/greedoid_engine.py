@@ -8,7 +8,8 @@ and reports every violation (cycles and the counterexample families live in
 graph_families).
 
 Every function that asks "is this set in the family?" picks its route once,
-in _membership: the oracle's table lookup when a SubsetOracle is passed,
+in _membership: the oracle's table lookup when a SubsetOracle is passed
+(refused with ValueError when it was built for a different graph),
 otherwise the direct closed-neighborhood check of stable_core.in_psi_mask
 (the neighborhood peel, with exhaustive search above ``cap`` only when the
 peel leaves a cyclic core). The engine then works on vertex bitmasks and
@@ -69,10 +70,18 @@ class GreedoidReport:
     exchange_violations: tuple  # tuple[(smaller, larger) frozenset pairs]
 
 
+def _check_oracle(g: Graph, oracle: SubsetOracle) -> None:
+    """Refuse an oracle whose tables describe a different graph."""
+    if oracle.graph is not g and oracle.graph != g:
+        raise ValueError(f"oracle built for {oracle.graph!r}, not for {g!r}")
+
+
 def _membership(g: Graph, oracle: SubsetOracle | None, cap):
     """The family-membership predicate on vertex masks of ``g``: the
-    oracle's table lookup when one is given, else the direct check."""
+    oracle's table lookup when one is given (after checking that it was
+    built for ``g``), else the direct check."""
     if oracle is not None:
+        _check_oracle(g, oracle)
         return oracle.in_psi_mask
     return partial(stable_core.in_psi_mask, g, cap=cap)
 
@@ -156,7 +165,7 @@ def nt_extend(g: Graph, s1, s2, oracle: SubsetOracle | None = None,
     """
     _, m1 = g.check_vertices_mask(s1)
     _, m2 = g.check_vertices_mask(s2)
-    if not _membership(g, oracle, cap)(m1):
+    if not _membership(g, oracle, cap)(m1):  # checks the oracle's graph before its alpha
         raise NotInPsiError("s1 is not a local maximum stable set")
     a = oracle.alpha() if oracle is not None else stable_core.alpha(g, cap).size
     if m2.bit_count() != a or not stable_core.stable_mask(g, m2):
@@ -346,9 +355,20 @@ def verify_greedoid(g: Graph, cap: int | None = None,
     in the family. Exchange: for members X, Y with |X| = |Y| + 1 some x in
     X - Y extends Y inside the family. All violations are reported, in
     canonical order.
+
+    The family comes from the graph's cached subset tables (an oracle
+    passed in must have been built for ``g``). The exchange scan computes
+    the extension mask of every Y (the vertices v with Y + v in the
+    family) and then tests the members one size up once per distinct
+    extension mask, not once per Y: X fails Y exactly when X misses the
+    mask, since the mask never meets Y. One test covers all of them at
+    once, as a few big-integer operations on the members packed into
+    lanes; they are listed one by one only for a mask some member misses.
     """
     if oracle is None:
         oracle = SubsetOracle(g, cap)
+    else:
+        _check_oracle(g, oracle)
     n = g.vertex_count
     flags = oracle.psi_flags()
     members = oracle.psi_masks()
@@ -371,11 +391,13 @@ def verify_greedoid(g: Graph, cap: int | None = None,
 
     exch_bad = []
     full = g.full_mask()
+    width = n // 8 + 1  # bytes per lane: a mask plus a free top bit
     for k in range(n):
         ys = by_size[k]
         xs = by_size[k + 1]
         if not ys or not xs:
             continue
+        ys_by_ext = {}
         for y in ys:
             ext = 0
             rest = full & ~y
@@ -384,9 +406,17 @@ def verify_greedoid(g: Graph, cap: int | None = None,
                 rest ^= low
                 if flags[y | low]:
                     ext |= low
-            for x in xs:
-                if not (x & ~y & ext):
-                    exch_bad.append((y, x))
+            ys_by_ext.setdefault(ext, []).append(y)
+        # every x in one integer, a lane each; x misses ext iff its lane of
+        # lanes & ext is 0, iff adding 0x7f..f leaves the lane's top bit clear
+        lanes = int.from_bytes(b"".join([x.to_bytes(width, "little") for x in xs]), "little")
+        ones = int.from_bytes((b"\x01" + bytes(width - 1)) * len(xs), "little")
+        top = ones << (8 * width - 1)
+        fill = top - ones
+        for ext, group in ys_by_ext.items():
+            if ~((lanes & ext * ones) + fill) & top:
+                misses = [x for x in xs if not x & ext]
+                exch_bad.extend((y, x) for y in group for x in misses)
 
     acc_sets = canonical_sets(acc_bad)
     key = lambda s: (len(s), tuple(sorted(s)))

@@ -14,6 +14,7 @@ cap instead of approximating.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InternalError, TooLargeForBruteForce, TooLargeForEnumeration
 from .graph_core import Graph, bits_of, closed_mask_of, induced_subgraph, leaf_peel, set_of
@@ -41,20 +42,113 @@ class PsiFamily:
 
 def canonical_sets(masks) -> list:
     """Sort subset masks by (size, sorted index list) and freeze them."""
-    keyed = sorted(masks, key=lambda m: (m.bit_count(), tuple(bits_of(m))))
-    return [set_of(m) for m in keyed]
+    keyed = sorted([(m.bit_count(), tuple(bits_of(m))) for m in masks])
+    return [frozenset(bits) for _, bits in keyed]
+
+
+class _SubsetTables(NamedTuple):
+    """The subset tables of one graph: alpha(g[X]) and family membership for
+    every vertex subset X, and the family's members.
+
+    Cached on the Graph it describes (``Graph._oracle``). It holds no
+    reference back to the graph, so dropping the graph frees the tables at
+    once, without the cyclic garbage collector.
+    """
+
+    alpha: bytearray
+    psi_flags: bytes
+    psi_masks: list
+
+
+def _alpha_and_stable(adj: list, n: int) -> tuple[bytearray, bytes]:
+    """alpha(g[X]) for every vertex subset X, and one byte per X that is 1
+    iff X is stable (iff alpha(X) = |X|).
+
+    The subsets whose highest vertex is v fill the block [2^v, 2^(v+1));
+    for X = I + v there, alpha(X) = max(alpha(I), 1 + alpha(I - N(v))).
+    Each block is computed as a few big-integer operations on the whole
+    lower half of the table, read as one integer with a byte lane per
+    subset, so no Python-level loop runs per subset. Lane arithmetic never
+    carries between lanes, since every value stays below 128 (alpha <= n).
+    The table is allocated in full first, so a table too large for memory
+    fails before any work is done.
+    """
+    size = 1 << n
+    alpha = bytearray(size)
+    lower = 0  # alpha of the subsets below 2^v, one lane each
+    popcount = 0  # their sizes, likewise
+    ones = 1  # 1 in each of the 2^v lanes
+    keep = {}  # j -> 0xff in the lanes whose index has bit j clear
+    for v in range(n):
+        h = 1 << v
+        # lane I of ``cut`` holds alpha(I - N(v)): for each lower neighbour
+        # j, lanes with bit j set take the value of their partner without it
+        cut = lower
+        for j in bits_of(adj[v] & (h - 1)):
+            k = keep.get(j)
+            if k is None:
+                k = (1 << (8 << j)) - 1
+                span = 2 << j
+                while span < size >> 1:
+                    k |= k << (8 * span)
+                    span <<= 1
+                keep[j] = k
+            t = cut & k
+            cut = t | (t << (8 << j))
+        take = cut + ones
+        high = ones << 7
+        # 0xff in the lanes where alpha(I) >= 1 + alpha(I - N(v))
+        pick = ((((lower | high) - take) & high) >> 7) * 0xff
+        block = take ^ ((lower ^ take) & pick)
+        alpha[h:2 * h] = block.to_bytes(h, "little")
+        lower |= block << (8 * h)
+        popcount |= (popcount + ones) << (8 * h)
+        ones |= ones << (8 * h)
+    high = ones << 7
+    diff = lower ^ popcount  # 0 in the lanes of the stable subsets
+    return alpha, ((((diff + high - ones) & high) ^ high) >> 7).to_bytes(size, "little")
+
+
+def _build_tables(g: Graph) -> _SubsetTables:
+    """The alpha table, then the family: the stable subsets X (the only ones
+    visited one by one) with alpha(N[X]) = |X|."""
+    n = g.vertex_count
+    adj = g._adj
+    alpha, stable = _alpha_and_stable(adj, n)
+    # N[X] = low[X's vertices below split] | top[X's vertices from split up]
+    split = n // 2
+    low, top = [0], [0]
+    for v in range(n):
+        c = adj[v] | (1 << v)
+        half = low if v < split else top
+        half += [x | c for x in half]
+    low_mask = (1 << split) - 1
+    flags = bytearray(1 << n)
+    members = []
+    m = stable.find(1)
+    while m >= 0:
+        if alpha[low[m & low_mask] | top[m >> split]] == alpha[m]:
+            flags[m] = 1
+            members.append(m)
+        m = stable.find(1, m + 1)
+    members.sort(key=int.bit_count)
+    return _SubsetTables(alpha, bytes(flags), members)
 
 
 class SubsetOracle:
     """Exact stability tables over every vertex subset of a small graph.
 
     One pass of dynamic programming over the 2^n subset lattice yields
-    alpha(g[X]) for every X, from which stability, family membership, and
-    the maximum-stable-set family are O(1) lookups. Reuse one oracle for
-    many queries against the same graph.
+    alpha(g[X]) and family membership for every X, so stability, membership
+    and the maximum-stable-set family are O(1) lookups. The tables are built
+    once per Graph and cached on it, so they live exactly as long as the
+    graph does: every oracle for the same graph object, and enumerate_psi,
+    enumerate_omega and verify_greedoid on it, read the same tables. The
+    oracle is a thin view over them; ``cap`` is checked on every
+    construction, before the cache is read.
     """
 
-    __slots__ = ("graph", "n", "_alpha", "_nbh", "_psi_masks", "_psi_flags")
+    __slots__ = ("graph", "n", "_alpha", "_flags", "_masks")
 
     def __init__(self, g: Graph, cap: int | None = None):
         cap = DEFAULT_ENUMERATION_CAP if cap is None else cap
@@ -62,26 +156,12 @@ class SubsetOracle:
         if n > cap:
             raise TooLargeForEnumeration(
                 f"{n} vertices exceed the enumeration cap of {cap}")
+        tables = g._oracle
+        if tables is None:
+            tables = g._oracle = _build_tables(g)
         self.graph = g
         self.n = n
-        size = 1 << n
-        nbm = [g.closed_mask(v) for v in range(n)]
-        # alpha(X) = max(alpha(X - v), 1 + alpha(X - N[v])) for v the lowest
-        # bit of X; the second branch commits v to the stable set.
-        alpha = bytearray(size)
-        nbh = [0] * size
-        for m in range(1, size):
-            low = m & -m
-            v = low.bit_length() - 1
-            rest = m ^ low
-            a = alpha[rest]
-            b = 1 + alpha[m & ~nbm[v]]
-            alpha[m] = b if b > a else a
-            nbh[m] = nbh[rest] | nbm[v]
-        self._alpha = alpha
-        self._nbh = nbh
-        self._psi_masks = None
-        self._psi_flags = None
+        self._alpha, self._flags, self._masks = tables
 
     def alpha_of(self, mask: int) -> int:
         """alpha of the subgraph induced by ``mask``."""
@@ -91,45 +171,30 @@ class SubsetOracle:
         return self._alpha[-1] if self.n else 0
 
     def closed_mask_of(self, mask: int) -> int:
-        return self._nbh[mask]
+        return closed_mask_of(self.graph._adj, mask)
 
     def is_stable_mask(self, mask: int) -> bool:
         return self._alpha[mask] == mask.bit_count()
 
     def in_psi_mask(self, mask: int) -> bool:
-        k = mask.bit_count()
-        return self._alpha[mask] == k and self._alpha[self._nbh[mask]] == k
+        return self._flags[mask] == 1
 
-    def psi_flags(self) -> bytearray:
+    def psi_flags(self) -> bytes:
         """One byte per subset mask: 1 iff the subset is in the family."""
-        if self._psi_flags is None:
-            self._family()
-        return self._psi_flags
+        return self._flags
 
     def psi_masks(self) -> list:
-        """All family members as masks, ascending by size (ties unordered)."""
-        if self._psi_masks is None:
-            self._family()
-        return self._psi_masks
+        """All family members as masks, ascending by size, ties ascending.
+        The list is shared by every reader of the graph's tables: do not
+        modify it."""
+        return self._masks
 
     def omega_masks(self) -> list:
+        """All maximum stable sets as masks, ascending. Each is maximum in
+        its own closed neighborhood too, so these are exactly the family
+        members of size alpha."""
         a = self.alpha()
-        alpha = self._alpha
-        return [m for m in range(1 << self.n)
-                if alpha[m] == a and m.bit_count() == a]
-
-    def _family(self):
-        alpha = self._alpha
-        nbh = self._nbh
-        flags = bytearray(1 << self.n)
-        by_size = [[] for _ in range(self.n + 1)]
-        for m in range(1 << self.n):
-            k = m.bit_count()
-            if alpha[m] == k and alpha[nbh[m]] == k:
-                flags[m] = 1
-                by_size[k].append(m)
-        self._psi_flags = flags
-        self._psi_masks = [m for bucket in by_size for m in bucket]
+        return [m for m in self._masks if m.bit_count() == a]
 
 
 def stable_mask(g: Graph, m: int) -> bool:

@@ -4,7 +4,10 @@ The oracles below work straight off the edge list with itertools-style
 subset enumeration. They are kept independent of the library's bitmask and
 table machinery so that every derived expected value is cross-checked by a
 second route. The quadratic pendant scans further down are the library's
-pre-heap forest routines, kept as references for the peel kernel.
+pre-heap forest routines, kept as references for the peel kernel; the
+per-subset table loop and the pair-by-pair exchange scan after them are the
+subset oracle's and the greedoid verifier's earlier routines, kept as
+references for the lane-arithmetic build and the grouped exchange scan.
 
 Hypothesis runs derandomised under one fixed profile, so every property
 test sees the same examples on every run.
@@ -18,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from lmss import Graph, FamilySpec, InternalError, Matching, generate
-from lmss.graph_core import bits_of, set_of
+from lmss.graph_core import bits_of, mask_of, set_of
 
 settings.register_profile(
     "lmss", derandomize=True, deadline=None, max_examples=150, database=None,
@@ -226,6 +229,72 @@ def naive_internal_cover_matching(g: Graph) -> Matching:
             e, came_from = r, q
     edges = [(v, partner[v]) for v in range(n) if 0 <= partner[v] and v < partner[v]]
     return Matching.from_edges(edges)
+
+
+# -- per-subset oracle loops (references for stable_core's lane build) -----------
+
+
+def naive_subset_tables(g: Graph) -> tuple[bytearray, bytearray]:
+    """alpha of every vertex subset and the family flags, by one Python-level
+    step per subset: the lowest-bit recurrence and the flag scan over all
+    2^n subsets."""
+    n = g.vertex_count
+    size = 1 << n
+    nbm = [g.closed_mask(v) for v in range(n)]
+    # alpha(X) = max(alpha(X - v), 1 + alpha(X - N[v])) for v the lowest
+    # bit of X; the second branch commits v to the stable set.
+    alpha = bytearray(size)
+    nbh = [0] * size
+    for m in range(1, size):
+        low = m & -m
+        v = low.bit_length() - 1
+        rest = m ^ low
+        a = alpha[rest]
+        b = 1 + alpha[m & ~nbm[v]]
+        alpha[m] = b if b > a else a
+        nbh[m] = nbh[rest] | nbm[v]
+    flags = bytearray(size)
+    for m in range(size):
+        k = m.bit_count()
+        if alpha[m] == k and alpha[nbh[m]] == k:
+            flags[m] = 1
+    return alpha, flags
+
+
+def naive_exchange_violations(g: Graph, family) -> list:
+    """Exchange violations (Y, X) of ``family`` (frozensets), canonically
+    ordered: for every Y the scan below visits every X one size up."""
+    n = g.vertex_count
+    members = sorted((mask_of(s) for s in family), key=int.bit_count)
+    flags = bytearray(1 << n)
+    for m in members:
+        flags[m] = 1
+    by_size = [[] for _ in range(n + 1)]
+    for m in members:
+        by_size[m.bit_count()].append(m)
+
+    exch_bad = []
+    full = g.full_mask()
+    for k in range(n):
+        ys = by_size[k]
+        xs = by_size[k + 1]
+        if not ys or not xs:
+            continue
+        for y in ys:
+            ext = 0
+            rest = full & ~y
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if flags[y | low]:
+                    ext |= low
+            for x in xs:
+                if not (x & ~y & ext):
+                    exch_bad.append((y, x))
+
+    key = lambda s: (len(s), tuple(sorted(s)))
+    return sorted(((set_of(y), set_of(x)) for y, x in exch_bad),
+                  key=lambda p: (key(p[0]), key(p[1])))
 
 
 # -- hypothesis strategies ---------------------------------------------------

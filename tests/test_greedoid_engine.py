@@ -226,6 +226,32 @@ class TestExchangeWitness:
             chain_is_valid(cert, oracle=oracle)
 
 
+class TestForeignOracle:
+    """An oracle answers for the graph it was built for, never another."""
+
+    @pytest.mark.parametrize("call", [
+        lambda g, o: exchange_witness(g, set(), {0}, oracle=o),
+        lambda g, o: nt_extend(g, set(), {0, 2}, oracle=o),
+        lambda g, o: union_local_max(g, set(), set(), oracle=o),
+        lambda g, o: chain_decompose(g, {0, 2}, oracle=o),
+        lambda g, o: chain_is_valid(ChainCertificate(g, (frozenset({0}),), "greedy_peel"),
+                                    oracle=o),
+        lambda g, o: verify_greedoid(g, oracle=o),
+    ], ids=["exchange_witness", "nt_extend", "union_local_max", "chain_decompose",
+            "chain_is_valid", "verify_greedoid"])
+    def test_oracle_of_another_graph_refused(self, c4, p4, call):
+        # P4's family holds {0}, C4's does not: an unchecked P4 oracle made
+        # exchange_witness return witness 0 and verify_greedoid report P4
+        with pytest.raises(ValueError, match="oracle built for"):
+            call(c4, SubsetOracle(p4))
+
+    def test_oracle_of_an_equal_graph_accepted(self, c4):
+        twin = cycle(4)
+        assert twin == c4 and twin is not c4
+        assert verify_greedoid(c4, oracle=SubsetOracle(twin)) == verify_greedoid(c4)
+        assert nt_extend(c4, set(), {0, 2}, oracle=SubsetOracle(twin)) == {0, 2}
+
+
 class TestChainDecompose:
     def test_fig4_both_strategies(self, fig4):
         s = labels_to_set(fig4, "a", "b", "c", "d", "e")
