@@ -14,6 +14,7 @@ from . import graph_families, greedoid_engine, perfect_embedding, stable_core, t
 from .cli_io import GraphDocument, emit, parse_graph, to_jsonable
 from .errors import AccessibilityFailure, LmssError
 from .graph_core import Graph, set_of
+from .graph_families import FamilySpec, generate
 
 
 def _read_document(path: str) -> GraphDocument:
@@ -132,9 +133,8 @@ def cmd_verify_greedoid(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    spec = graph_families.FamilySpec(family=args.family, n=args.n, seed=args.seed,
-                                     delete_prob=args.delete_prob)
-    g = graph_families.generate(spec)
+    g = generate(FamilySpec(family=args.family, n=args.n, seed=args.seed,
+                            delete_prob=args.delete_prob))
     meta = {"family": args.family, "n": str(g.vertex_count)}
     if args.family.startswith("random"):
         meta["seed"] = str(0 if args.seed is None else args.seed)
@@ -148,198 +148,159 @@ def cmd_gen(args) -> int:
 # -- selftest ----------------------------------------------------------------
 
 
-def _forest_corpus(count, sizes, seed0=1, delete_prob=0.15):
+def _forest_corpus(count, sizes, seed0):
     for i in range(count):
-        n = sizes[i % len(sizes)]
-        yield graph_families.generate(graph_families.FamilySpec(
-            "random_forest", n=n, seed=seed0 + i, delete_prob=delete_prob))
+        yield generate(FamilySpec("random_forest", n=sizes[i % len(sizes)], seed=seed0 + i))
 
 
-def _random_graph(n: int, p_percent: int, rng) -> Graph:
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if rng.below(100) < p_percent]
-    return Graph([f"v{k + 1}" for k in range(n)], edges)
+def _structure_ok(g: Graph) -> bool:
+    """alpha + mu = order on the forest ``g``; its internal-cover matching is
+    maximum and leaves no internal vertex exposed; both perfect embeddings
+    keep alpha, and the pendant_only one attaches at pendants only."""
+    rep = tree_matching.verify_konig_egervary(g)
+    icm = tree_matching.internal_cover_matching(g)
+    if not rep.identity_holds or len(icm) != rep.mu or any(
+            g.degree(v) >= 2 for v in range(g.vertex_count) if v not in icm.covered):
+        return False
+    for mode in ("any", "pendant_only"):
+        emb = perfect_embedding.embed_perfect(g, mode)
+        if stable_core.alpha(emb.host).size != rep.alpha:
+            return False
+    return all(g.degree(u) < 2 for u, _w in emb.added_edges)  # the pendant_only edges
 
 
-def _check_greedoid_on_forests(full: bool):
-    max_n = 8 if full else 6
-    count = 0
-    for n in range(2, max_n + 1):
+def _criteria(full: bool):
+    """The nine acceptance criteria at selftest scale, in order, each as
+    ``(name, first failure or None, detail)``.
+
+    Every labeled tree is visited once, with one subset table, and that
+    visit feeds criteria 1, 5, 6, 7 and 8. A failure is recorded under its
+    criterion and the run goes on, so every criterion is reported.
+    tests/test_acceptance.py is the independent gate at full scale.
+    """
+    max_tree = 8 if full else 6  # labeled trees on 2..max_tree vertices
+    forests = 1000 if full else 100  # seeded random forests, criteria 1 and 7
+    graphs, max_graph = (500, 12) if full else (60, 10)  # random graphs, criterion 4
+    failed = {}  # criterion number -> its first failure
+    fail = failed.setdefault
+    trees = chains = pairs = 0
+    for n in range(2, max_tree + 1):
+        where = f"on a labeled tree with {n} vertices"
         for t in graph_families.enumerate_labeled_trees(n):
-            r = greedoid_engine.verify_greedoid(t)
+            oracle = stable_core.SubsetOracle(t)
+            r = greedoid_engine.verify_greedoid(t, oracle=oracle)
             if not (r.accessibility_ok and r.exchange_ok):
-                return False, f"violation on a labeled tree with {n} vertices"
-            count += 1
-    forests = 1000 if full else 100
-    sizes = list(range(9, 15)) if full else list(range(9, 13))
-    for g in _forest_corpus(forests, sizes):
+                fail(1, f"violation {where}")
+            by_size = {}
+            for m in oracle.psi_masks():
+                s = set_of(m)
+                by_size.setdefault(len(s), []).append(s)
+                for strat in ("greedy_peel", "constructive"):
+                    cert = greedoid_engine.chain_decompose(t, s, strat, oracle=oracle)
+                    if (cert.chain[-1] if cert.chain else frozenset()) != s \
+                            or not greedoid_engine.chain_is_valid(cert, oracle=oracle):
+                        fail(5, f"invalid {strat} chain {where}")
+                    chains += 1
+            for k, ys in by_size.items():
+                for x in by_size.get(k + 1, ()):
+                    for y in ys:
+                        w = greedoid_engine.exchange_witness(t, y, x, oracle=oracle)
+                        if w.witness is None:
+                            fail(6, f"missing witness {where}")
+                        pairs += 1
+            if not _structure_ok(t):
+                fail(7, f"matching or embedding fails {where}")
+            if stable_core.alpha(t).size != oracle.alpha():
+                fail(8, f"alpha mismatch {where}")
+            trees += 1
+    for g in _forest_corpus(forests, range(9, 15 if full else 13), seed0=1):
         r = greedoid_engine.verify_greedoid(g)
         if not (r.accessibility_ok and r.exchange_ok):
-            return False, "violation on a random forest"
-        count += 1
-    return True, f"{count} forests, zero violations"
+            fail(1, "violation on a random forest")
+    yield "greedoid on forests", failed.get(1), f"{trees + forests} forests, zero violations"
 
-
-def _check_counterexamples(full: bool):
     for n in range(4, 9):
-        g = graph_families.generate(graph_families.FamilySpec("cycle", n))
-        r = greedoid_engine.verify_greedoid(g)
-        omega = set(stable_core.enumerate_omega(g))
-        if not omega <= set(r.accessibility_violations):
-            return False, f"C{n}: some maximum stable set is not reported"
-    g = graph_families.generate(graph_families.FamilySpec("fig1"))
-    r = greedoid_engine.verify_greedoid(g)
-    acf = frozenset(g.index_of(x) for x in "acf")
-    if acf not in r.accessibility_violations:
-        return False, "fig1: {a,c,f} not reported"
-    return True, "cycles C4..C8 and fig1 behave as documented"
+        g = generate(FamilySpec("cycle", n))
+        if not set(stable_core.enumerate_omega(g)) <= set(
+                greedoid_engine.verify_greedoid(g).accessibility_violations):
+            fail(2, f"C{n}: some maximum stable set is not reported")
+    g = generate(FamilySpec("fig1"))
+    if frozenset(g.index_of(x) for x in "acf") not in \
+            greedoid_engine.verify_greedoid(g).accessibility_violations:
+        fail(2, "fig1: {a,c,f} not reported")
+    yield ("accessibility counterexamples", failed.get(2),
+           "cycles C4..C8 and fig1 behave as documented")
 
-
-def _check_fig7(full: bool):
-    cases = [("small", n) for n in (6, 8, 10)] + [("large", n) for n in (8, 10, 12)]
-    for cls, n in cases:
-        g = graph_families.generate(graph_families.FamilySpec("fig7", n))
+    for cls, n in [("small", n) for n in (6, 8, 10)] + [("large", n) for n in (8, 10, 12)]:
+        g = generate(FamilySpec("fig7", n))
         s1, s2 = graph_families.fig7_exchange_pair(n, cls)
         if not (stable_core.is_local_max_stable(g, s1)
                 and stable_core.is_local_max_stable(g, s2)):
-            return False, f"fig7({n}) {cls}: pair not in the family"
-        if greedoid_engine.exchange_witness(g, s1, s2).witness is not None:
-            return False, f"fig7({n}) {cls}: unexpected witness"
-    return True, "documented pairs are in the family and admit no witness"
+            fail(3, f"fig7({n}) {cls}: pair not in the family")
+        elif greedoid_engine.exchange_witness(g, s1, s2).witness is not None:
+            fail(3, f"fig7({n}) {cls}: unexpected witness")
+    yield ("exchange counterexamples", failed.get(3),
+           "documented pairs are in the family and admit no witness")
 
-
-def _check_nt_extension(full: bool):
     rng = graph_families.SplitMix64(2024)
-    graphs = 500 if full else 60
-    max_n = 12 if full else 10
-    pairs = 0
+    extensions = 0
     for i in range(graphs):
-        n = 4 + rng.below(max_n - 3)
-        g = _random_graph(n, 8 + (i % 5) * 8, rng)
+        n = 4 + rng.below(max_graph - 3)
+        percent = 8 + (i % 5) * 8
+        g = Graph([f"v{k + 1}" for k in range(n)],
+                  [(u, v) for u in range(n) for v in range(u + 1, n)
+                   if rng.below(100) < percent])
         oracle = stable_core.SubsetOracle(g)
         psi = oracle.psi_masks()
         if len(psi) > 200:
             continue
         omega = stable_core.canonical_sets(oracle.omega_masks())
-        a = oracle.alpha()
         for pm in psi:
             s1 = set_of(pm)
             for s2 in omega:
                 r = greedoid_engine.nt_extend(g, s1, s2, oracle=oracle)
-                if len(r) != a or not stable_core.is_stable(g, r):
-                    return False, "extension left the maximum family"
-                pairs += 1
-    return True, f"{pairs} extensions all maximum"
+                if len(r) != oracle.alpha() or not stable_core.is_stable(g, r):
+                    fail(4, "extension left the maximum family")
+                extensions += 1
+    yield ("maximum-extension on general graphs", failed.get(4),
+           f"{extensions} extensions all maximum")
 
+    yield ("chain totality", failed.get(5),
+           f"{chains} certificates valid under both strategies")
+    yield ("exchange totality on forests", failed.get(6),
+           f"{pairs} pairs all admitted witnesses")
 
-def _check_chains(full: bool):
-    max_n = 8 if full else 5
-    chains = 0
-    for n in range(2, max_n + 1):
-        for t in graph_families.enumerate_labeled_trees(n):
-            oracle = stable_core.SubsetOracle(t)
-            for m in oracle.psi_masks():
-                s = set_of(m)
-                for strat in ("greedy_peel", "constructive"):
-                    cert = greedoid_engine.chain_decompose(t, s, strat, oracle=oracle)
-                    if (cert.chain[-1] if cert.chain else frozenset()) != s \
-                            or not greedoid_engine.chain_is_valid(cert, oracle=oracle):
-                        return False, f"invalid {strat} chain on {n} vertices"
-                    chains += 1
-    return True, f"{chains} certificates valid under both strategies"
+    for g in _forest_corpus(forests, range(2, 21 if full else 15), seed0=5000):
+        if not _structure_ok(g):
+            fail(7, "matching or embedding fails on a random forest")
+    yield ("matching and embedding structure", failed.get(7),
+           f"{trees + forests} forests: identity, cover, and embeddings hold")
 
+    for family, members in (("cycle", [[], [0, 2], [1, 3]]),
+                            ("path", [[], [0], [3], [0, 2], [0, 3], [1, 3]])):
+        if [sorted(s) for s in stable_core.enumerate_psi(
+                generate(FamilySpec(family, 4))).members] != members:
+            fail(8, f"family of the 4-{family} is off")
+    yield ("oracle equivalence", failed.get(8),
+           f"pendant-greedy alpha matches exhaustive alpha on {trees} trees; "
+           f"known families exact")
 
-def _check_exchange_totality(full: bool):
-    max_n = 8 if full else 5
-    checked = 0
-    for n in range(2, max_n + 1):
-        for t in graph_families.enumerate_labeled_trees(n):
-            oracle = stable_core.SubsetOracle(t)
-            by_size = {}
-            for m in oracle.psi_masks():
-                by_size.setdefault(m.bit_count(), []).append(m)
-            for k, ys in sorted(by_size.items()):
-                for x in by_size.get(k + 1, ()):
-                    for y in ys:
-                        w = greedoid_engine.exchange_witness(
-                            t, set_of(y), set_of(x), oracle=oracle)
-                        if w.witness is None:
-                            return False, f"missing witness on {n} vertices"
-                        checked += 1
-    return True, f"{checked} pairs all admitted witnesses"
-
-
-def _check_matching_embedding(full: bool):
-    count = 1000 if full else 100
-    sizes = list(range(2, 21)) if full else list(range(2, 15))
-    for g in _forest_corpus(count, sizes, seed0=5000):
-        rep = tree_matching.verify_konig_egervary(g)
-        if not rep.identity_holds:
-            return False, "alpha + mu != order on a forest"
-        icm = tree_matching.internal_cover_matching(g)
-        if len(icm) != rep.mu:
-            return False, "internal-cover matching is not maximum"
-        for v in range(g.vertex_count):
-            if v not in icm.covered and g.degree(v) >= 2:
-                return False, "internal vertex left exposed"
-        for mode in ("any", "pendant_only"):
-            emb = perfect_embedding.embed_perfect(g, mode)
-            if mode == "pendant_only":
-                for u, _w in emb.added_edges:
-                    if g.degree(u) >= 2:
-                        return False, "pendant_only attached to an internal vertex"
-    return True, f"{count} forests: identity, cover, and embeddings hold"
-
-
-def _check_oracle_equivalence(full: bool):
-    max_n = 7 if full else 6
-    for n in range(2, max_n + 1):
-        for t in graph_families.enumerate_labeled_trees(n):
-            if stable_core.alpha(t).size != stable_core.SubsetOracle(t).alpha():
-                return False, f"alpha mismatch on {n} vertices"
-    c4 = graph_families.generate(graph_families.FamilySpec("cycle", 4))
-    p4 = graph_families.generate(graph_families.FamilySpec("path", 4))
-    psi_c4 = [sorted(s) for s in stable_core.enumerate_psi(c4).members]
-    psi_p4 = [sorted(s) for s in stable_core.enumerate_psi(p4).members]
-    if psi_c4 != [[], [0, 2], [1, 3]]:
-        return False, "family of the 4-cycle is off"
-    if psi_p4 != [[], [0], [3], [0, 2], [0, 3], [1, 3]]:
-        return False, "family of the 4-path is off"
-    return True, "pendant-greedy alpha matches exhaustive alpha; known families exact"
-
-
-def _check_determinism(full: bool):
-    spec = graph_families.FamilySpec("random_tree", n=9, seed=42)
-    a = emit(graph_families.generate(spec), "json")
-    b = emit(graph_families.generate(spec), "json")
-    g = graph_families.generate(graph_families.FamilySpec("cycle", 4))
-    ra = emit(greedoid_engine.verify_greedoid(g), "json", graph=g)
-    rb = emit(greedoid_engine.verify_greedoid(g), "json", graph=g)
-    if a != b or ra != rb:
-        return False, "repeated runs differ"
-    return True, "repeated generation and verification are byte-identical"
-
-
-SELFTEST_CHECKS = (
-    ("greedoid on forests", _check_greedoid_on_forests),
-    ("accessibility counterexamples", _check_counterexamples),
-    ("exchange counterexamples", _check_fig7),
-    ("maximum-extension on general graphs", _check_nt_extension),
-    ("chain totality", _check_chains),
-    ("exchange totality on forests", _check_exchange_totality),
-    ("matching and embedding structure", _check_matching_embedding),
-    ("oracle equivalence", _check_oracle_equivalence),
-    ("determinism", _check_determinism),
-)
+    spec = FamilySpec("random_tree", n=9, seed=42)
+    g = generate(FamilySpec("cycle", 4))
+    runs = [(emit(generate(spec), "json"),
+             emit(greedoid_engine.verify_greedoid(g), "json", graph=g)) for _ in range(2)]
+    if runs[0] != runs[1]:
+        fail(9, "repeated runs differ")
+    yield ("determinism", failed.get(9),
+           "repeated generation and verification are byte-identical")
 
 
 def cmd_selftest(args) -> int:
     failures = 0
-    for i, (name, check) in enumerate(SELFTEST_CHECKS, start=1):
-        ok, detail = check(args.full)
-        status = "PASS" if ok else "FAIL"
-        print(f"criterion {i} ({name}): {status} - {detail}")
-        failures += 0 if ok else 1
+    for i, (name, failure, detail) in enumerate(_criteria(args.full), start=1):
+        status = f"FAIL - {failure}" if failure else f"PASS - {detail}"
+        print(f"criterion {i} ({name}): {status}")
+        failures += failure is not None
     return 1 if failures else 0
 
 
@@ -351,9 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lmss",
         description="Local maximum stable sets, their forest greedoid, and "
                     "the associated matching and embedding operations.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json", "dot"), default="text",
-                        help="output format (default: text)")
+    formatted = argparse.ArgumentParser(add_help=False)
+    formatted.add_argument("--format", choices=("text", "json", "dot"), default="text",
+                           help="output format (default: text)")
+    common = argparse.ArgumentParser(add_help=False, parents=[formatted])
     common.add_argument("--cap", type=int, default=None,
                         help="override the brute-force/enumeration vertex caps")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -392,15 +354,14 @@ def build_parser() -> argparse.ArgumentParser:
     graph_cmd("verify-greedoid", cmd_verify_greedoid,
               "check both greedoid axioms on the full family")
 
-    gen = sub.add_parser("gen", parents=[common], help="generate a named graph")
+    gen = sub.add_parser("gen", parents=[formatted], help="generate a named graph")
     gen.add_argument("--family", required=True, choices=graph_families.FAMILIES)
     gen.add_argument("-n", type=int, default=None)
     gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("--delete-prob", type=float, default=0.15)
     gen.set_defaults(func=cmd_gen)
 
-    st = sub.add_parser("selftest", parents=[common],
-                        help="run the built-in verification corpus")
+    st = sub.add_parser("selftest", help="run the built-in verification corpus")
     st.add_argument("--full", action="store_true",
                     help="full acceptance scale (minutes) instead of the quick corpus")
     st.set_defaults(func=cmd_selftest)

@@ -189,10 +189,6 @@ class Graph:
         except KeyError:
             raise InvalidVertexError(f"unknown label {label!r}") from None
 
-    def label_set(self, vertices: Iterable[int]) -> list[str]:
-        """Labels of a vertex set, in index order."""
-        return [self.labels[v] for v in sorted(self.check_vertices(vertices))]
-
     def adjacency_mask(self, v: int) -> int:
         """Open neighborhood of ``v`` as a bitmask."""
         return self._adj[v]
@@ -233,7 +229,8 @@ class Graph:
     @property
     def is_forest(self) -> bool:
         if self._forest is None:
-            self._forest = decompose(self).is_forest
+            components = component_masks(self._adj, self.full_mask())
+            self._forest = self.edge_count == self.vertex_count - len(components)
         return self._forest
 
     @property

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InternalError, TooLargeForBruteForce, TooLargeForEnumeration
-from .graph_core import Graph, bits_of, closed_mask_of, induced_subgraph, leaf_peel, set_of
+from .graph_core import Graph, bits_of, closed_mask_of, leaf_peel, set_of
 
 DEFAULT_BRUTE_FORCE_CAP = 24
 DEFAULT_ENUMERATION_CAP = 20
@@ -170,12 +170,6 @@ class SubsetOracle:
     def alpha(self) -> int:
         return self._alpha[-1] if self.n else 0
 
-    def closed_mask_of(self, mask: int) -> int:
-        return closed_mask_of(self.graph._adj, mask)
-
-    def is_stable_mask(self, mask: int) -> bool:
-        return self._alpha[mask] == mask.bit_count()
-
     def in_psi_mask(self, mask: int) -> bool:
         return self._flags[mask] == 1
 
@@ -215,13 +209,18 @@ def is_stable(g: Graph, s) -> bool:
     return stable_mask(g, m)
 
 
-def _alpha_branch_bound(g: Graph) -> frozenset:
-    """Exhaustive maximum stable set with pruning.
+def _alpha_branch_bound(adj: list, universe: int, cap: int | None) -> int:
+    """A maximum stable set of the subgraph induced on ``universe``, as a
+    mask, by exhaustive search with pruning; more than ``cap`` vertices
+    (default 24) are refused.
 
     Scans vertices in index order, include-branch first, improving strictly;
     the first optimum found is therefore the lexicographically least witness.
     """
-    nbm = [g.closed_mask(v) for v in range(g.vertex_count)]
+    cap = DEFAULT_BRUTE_FORCE_CAP if cap is None else cap
+    n = universe.bit_count()
+    if n > cap:
+        raise TooLargeForBruteForce(f"{n} vertices exceed the brute-force cap of {cap}")
     best_size = -1
     best_mask = 0
 
@@ -235,12 +234,13 @@ def _alpha_branch_bound(g: Graph) -> frozenset:
         if cur_size + avail.bit_count() <= best_size:
             return
         low = avail & -avail
+        avail ^= low
         v = low.bit_length() - 1
-        walk(avail & ~nbm[v], cur_mask | low, cur_size + 1)
-        walk(avail ^ low, cur_mask, cur_size)
+        walk(avail & ~adj[v], cur_mask | low, cur_size + 1)
+        walk(avail, cur_mask, cur_size)
 
-    walk(g.full_mask(), 0, 0)
-    return set_of(best_mask)
+    walk(universe, 0, 0)
+    return best_mask
 
 
 def alpha(g: Graph, cap: int | None = None) -> StableSetResult:
@@ -256,11 +256,7 @@ def alpha(g: Graph, cap: int | None = None) -> StableSetResult:
             raise InternalError("no pendant or isolated vertex in a forest")
         s = set_of(taken)
         return StableSetResult(set=s, size=len(s), method="forest_dp")
-    cap = DEFAULT_BRUTE_FORCE_CAP if cap is None else cap
-    if g.vertex_count > cap:
-        raise TooLargeForBruteForce(
-            f"{g.vertex_count} vertices exceed the brute-force cap of {cap}")
-    s = _alpha_branch_bound(g)
+    s = set_of(_alpha_branch_bound(g._adj, g.full_mask(), cap))
     return StableSetResult(set=s, size=len(s), method="brute_force")
 
 
@@ -284,7 +280,7 @@ def in_psi_mask(g: Graph, mask: int, cap: int | None = None) -> bool:
     taken, _, leftover = leaf_peel(g._adj, closed)
     if not leftover:
         return taken.bit_count() == mask.bit_count()
-    return alpha(induced_subgraph(g, set_of(closed)), cap).size == mask.bit_count()
+    return _alpha_branch_bound(g._adj, closed, cap).bit_count() == mask.bit_count()
 
 
 def is_local_max_stable(g: Graph, s, cap: int | None = None) -> bool:

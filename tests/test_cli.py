@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from lmss import greedoid_engine
 from lmss.cli import main
 
 FIG1_TEXT = """# family: fig1
@@ -235,6 +236,32 @@ class TestErrorPaths:
     def test_bad_family_exit_2(self, capsys, monkeypatch):
         code, _, err = run(capsys, monkeypatch, ["gen", "--family", "cycle", "-n", "3"])
         assert code == 2 and "cycle" in err
+
+    @pytest.mark.parametrize("argv", [["selftest", "--cap", "3"],
+                                      ["selftest", "--format", "json"],
+                                      ["gen", "--family", "fig1", "--cap", "3"]])
+    def test_option_the_command_ignores_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestSelftest:
+    def test_failure_reported_under_its_criterion(self, capsys, monkeypatch):
+        code, passing, _ = run(capsys, monkeypatch, ["selftest"])
+        assert code == 0
+        monkeypatch.setattr(greedoid_engine, "exchange_witness",
+                            lambda g, s1, s2, **kw: greedoid_engine.ExchangeWitness(
+                                s1, s2, None))
+        code, out, _ = run(capsys, monkeypatch, ["selftest"])
+        assert code == 1
+        lines, passing = out.splitlines(), passing.splitlines()
+        assert lines[5] == ("criterion 6 (exchange totality on forests): FAIL - "
+                            "missing witness on a labeled tree with 2 vertices")
+        # every other criterion is still run in full and reported unchanged
+        assert len(lines) == 9
+        assert lines[:5] + lines[6:] == passing[:5] + passing[6:]
 
 
 class TestSubprocessContract:

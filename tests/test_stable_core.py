@@ -128,6 +128,16 @@ class TestIsLocalMaxStable:
         assert not is_local_max_stable(p6, labels_to_set(p6, "c", "f"))
         assert is_local_max_stable(p6, labels_to_set(p6, "a", "f"))
 
+    def test_cyclic_core_cap(self):
+        # N[S] is the whole 26-cycle for both sets, so the peel leaves it all
+        # to the search; only the first is maximum there
+        g, s, t = cycle(26), frozenset(range(0, 26, 2)), frozenset(range(0, 26, 3))
+        with pytest.raises(TooLargeForBruteForce,
+                           match="^26 vertices exceed the brute-force cap of 24$"):
+            is_local_max_stable(g, s)
+        assert is_local_max_stable(g, s, cap=26)
+        assert not is_local_max_stable(g, t, cap=26)
+
     def test_pendant_subsets_always_members(self):
         rng = SplitMix64(14)
         for trial in range(25):
