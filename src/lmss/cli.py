@@ -18,7 +18,11 @@ from .graph_families import FamilySpec, generate
 
 
 def _read_document(path: str) -> GraphDocument:
-    data = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+    if path == "-":
+        data = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as f:
+            data = f.read()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         doc = parse_graph(data)

@@ -13,13 +13,15 @@ in _membership: the oracle's table lookup when a SubsetOracle is passed
 otherwise the direct closed-neighborhood check of stable_core.in_psi_mask
 (the neighborhood peel, with exhaustive search above ``cap`` only when the
 peel leaves a cyclic core). The engine then works on vertex bitmasks and
-freezes sets only at the public boundary.
+join orders, and freezes sets only at the public boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
+from operator import or_
 from typing import NamedTuple, Optional
 
 from . import stable_core
@@ -35,10 +37,9 @@ from .errors import (
     NotPerfectTreeError,
     SizeMismatchError,
 )
-from .graph_core import (Graph, bits_of, closed_mask_of, component_masks, decompose,
-                         leaf_peel, mask_of, set_of)
+from .graph_core import (Graph, bits_of, closed_mask_of, component_masks, leaf_peel,
+                         mask_of, set_of)
 from .stable_core import SubsetOracle, canonical_sets
-from .tree_matching import maximum_matching
 
 
 @dataclass(frozen=True)
@@ -118,17 +119,16 @@ def pendant_k2_edge(g: Graph) -> tuple[int, int]:
     Scans pendants in index order. Raises K2BaseCase on the two-vertex tree
     so recursive callers can stop.
     """
-    dec = decompose(g)
-    if not dec.is_tree:
+    n = g.vertex_count
+    if not (n >= 2 and g.is_forest and g.edge_count == n - 1):
         raise NotPerfectTreeError("input is not a tree")
-    matching = maximum_matching(g)
-    if 2 * len(matching) != g.vertex_count:
+    pairs = g.peel[1]
+    if 2 * len(pairs) != n:
         raise NotPerfectTreeError("tree has no perfect matching")
-    if g.vertex_count == 2:
+    if n == 2:
         raise K2BaseCase("two-vertex tree: peeling recursion bottoms out")
     x, y = _mask_pendant_k2(g._adj, g.full_mask())
-    e = (x, y) if x < y else (y, x)
-    if e not in matching.edges:  # pragma: no cover - forced for pendants
+    if (x, y) not in pairs and (y, x) not in pairs:  # pragma: no cover - forced for pendants
         raise InternalError("pendant edge missing from the perfect matching")
     return (x, y)
 
@@ -206,22 +206,21 @@ def exchange_witness(g: Graph, s1, s2, oracle: SubsetOracle | None = None,
 # -- chain construction ------------------------------------------------------
 
 
-def _greedy_peel_masks(in_psi, s_mask: int) -> list:
-    chain = []
+def _greedy_peel_order(in_psi, s_mask: int) -> list:
+    removed = []
     cur = s_mask
     while cur:
-        chain.append(cur)
         rest = cur
         while rest:
             low = rest & -rest
             rest ^= low
             if in_psi(cur ^ low):
                 cur ^= low
+                removed.append(low.bit_length() - 1)
                 break
         else:
             raise AccessibilityFailure(set_of(cur))
-    chain.reverse()
-    return chain
+    return removed[::-1]
 
 
 def _mask_matching_cover(adj: list, universe: int) -> int:
@@ -246,17 +245,18 @@ def _mask_pendant_k2(adj: list, comp: int) -> tuple[int, int]:
 
 
 def _component_chain(adj: list, comp: int, sc: int) -> list:
-    """Chain for one component of the induced neighborhood.
+    """Join order of ``sc`` for one component of the induced neighborhood.
 
     ``sc`` is a maximum stable set of the tree on ``comp``. Non-perfect
     components are first embedded (fresh partners appended to ``adj``), then
-    pendant-K2 edges are peeled; chain elements only ever contain original
-    vertices, so the embedding never leaks into the certificate.
+    pendant-K2 edges x-y are peeled. Chosen pendants x join first, in peel
+    order, then the chosen vertex of the final K2, then chosen neighbors y
+    in reverse peel order; the embedding's fresh vertices are never chosen.
     """
     if comp.bit_count() == 1:
         if sc != comp:  # pragma: no cover - excluded by theory
             raise InternalError("isolated neighborhood vertex outside the set")
-        return [sc]
+        return [sc.bit_length() - 1]
     covered = _mask_matching_cover(adj, comp)
     if covered != comp:
         for v in bits_of(comp & ~covered):
@@ -264,41 +264,30 @@ def _component_chain(adj: list, comp: int, sc: int) -> list:
             adj.append(1 << v)
             adj[v] |= 1 << w
             comp |= 1 << w
-    # peel pendant-K2 edges; record case (i) x-prefixes and case (ii) suffixes
-    ops = []
+    head, tail = [], []
     while comp.bit_count() > 2:
         x, y = _mask_pendant_k2(adj, comp)
         bx, by = 1 << x, 1 << y
         if sc & bx:
-            ops.append((True, bx))
+            head.append(x)
             sc ^= bx
         elif sc & by:
-            ops.append((False, sc))
+            tail.append(y)
             sc ^= by
         else:  # pragma: no cover - a maximum stable set meets every K2
             raise InternalError("matched edge disjoint from a maximum stable set")
         comp &= ~(bx | by)
     if sc.bit_count() != 1:  # pragma: no cover
         raise InternalError("base K2 holds more than one chosen vertex")
-    chain = [sc]
-    for is_prefix, payload in reversed(ops):
-        if is_prefix:
-            chain = [payload] + [m | payload for m in chain]
-        else:
-            chain = chain + [payload]
-    return chain
+    return head + [sc.bit_length() - 1] + tail[::-1]
 
 
-def _constructive_chain_masks(g: Graph, s_mask: int) -> list:
+def _constructive_chain_order(g: Graph, s_mask: int) -> list:
     adj = list(g._adj)
-    chain = []
-    prefix = 0
+    order = []
     for comp in component_masks(adj, closed_mask_of(adj, s_mask)):
-        sc = s_mask & comp
-        for m in _component_chain(adj, comp, sc):
-            chain.append(prefix | m)
-        prefix |= sc
-    return chain
+        order += _component_chain(adj, comp, s_mask & comp)
+    return order
 
 
 def chain_decompose(g: Graph, s, strategy: str = "greedy_peel",
@@ -307,12 +296,14 @@ def chain_decompose(g: Graph, s, strategy: str = "greedy_peel",
     """Produce a nested chain of family members growing one vertex at a time
     up to ``s``.
 
-    greedy_peel removes, at each step, the lowest-index vertex whose removal
-    keeps the set in the family; on forests this always succeeds, elsewhere
-    it may raise AccessibilityFailure. constructive (forests only) follows
-    the structural route instead: split the induced neighborhood into
-    components, embed each non-perfect component into a perfect tree, peel
-    pendant-K2 edges, and rejoin the component chains by disjoint union.
+    Both strategies build the order in which the vertices of ``s`` join and
+    freeze its prefixes once. greedy_peel removes, at each step, the
+    lowest-index vertex whose removal keeps the set in the family (the
+    removed vertices join in reverse); on forests this always succeeds,
+    elsewhere it may raise AccessibilityFailure. constructive (forests only)
+    follows the structural route instead: split the induced neighborhood
+    into components, embed each non-perfect component into a perfect tree,
+    peel pendant-K2 edges, and join the component orders one after another.
 
     Membership is read from the oracle when one is given, else checked
     directly. The constructive chain is re-checked against the family only
@@ -323,26 +314,26 @@ def chain_decompose(g: Graph, s, strategy: str = "greedy_peel",
     if not in_psi(s_mask):
         raise NotInPsiError("target set is not a local maximum stable set")
     if strategy == "greedy_peel":
-        masks = _greedy_peel_masks(in_psi, s_mask)
+        order = _greedy_peel_order(in_psi, s_mask)
     elif strategy == "constructive":
         if not g.is_forest:
             raise NotAForestError("constructive strategy requires a forest")
-        masks = _constructive_chain_masks(g, s_mask)
+        order = _constructive_chain_order(g, s_mask)
+        masks = accumulate((1 << v for v in order), or_)
         if oracle is not None and not all(map(in_psi, masks)):  # pragma: no cover - theory
             raise InternalError("constructive chain left the family")
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    return ChainCertificate(graph=g, chain=_nested_sets(masks), strategy=strategy)
+    return ChainCertificate(graph=g, chain=_nested_sets(order), strategy=strategy)
 
 
-def _nested_sets(masks: list) -> tuple:
-    """Freeze chain masks, growing each set from its predecessor when the
-    chain nests (it always does on success) instead of rebuilding it."""
+def _nested_sets(order: list) -> tuple:
+    """Freeze a join order into its prefixes, growing each set from its
+    predecessor by one vertex."""
     sets = []
-    prev_mask, prev = 0, frozenset()
-    for m in masks:
-        prev = prev.union(bits_of(m ^ prev_mask)) if not prev_mask & ~m else set_of(m)
-        prev_mask = m
+    prev = frozenset()
+    for v in order:
+        prev = prev.union((v,))
         sets.append(prev)
     return tuple(sets)
 

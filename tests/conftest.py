@@ -7,7 +7,9 @@ second route. The quadratic pendant scans further down are the library's
 pre-heap forest routines, kept as references for the peel kernel; the
 per-subset table loop and the pair-by-pair exchange scan after them are the
 subset oracle's and the greedoid verifier's earlier routines, kept as
-references for the lane-arithmetic build and the grouped exchange scan.
+references for the lane-arithmetic build and the grouped exchange scan. The
+chain builders last are the engine's earlier prefix-mask routines, kept as
+references for the chains it now builds as vertex join orders.
 
 Hypothesis runs derandomised under one fixed profile, so every property
 test sees the same examples on every run.
@@ -20,8 +22,9 @@ from itertools import combinations
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from lmss import Graph, FamilySpec, InternalError, Matching, generate
-from lmss.graph_core import bits_of, mask_of, set_of
+from lmss import AccessibilityFailure, Graph, FamilySpec, InternalError, Matching, generate
+from lmss.graph_core import bits_of, closed_mask_of, component_masks, mask_of, set_of
+from lmss.greedoid_engine import _mask_pendant_k2
 
 settings.register_profile(
     "lmss", derandomize=True, deadline=None, max_examples=150, database=None,
@@ -295,6 +298,95 @@ def naive_exchange_violations(g: Graph, family) -> list:
     key = lambda s: (len(s), tuple(sorted(s)))
     return sorted(((set_of(y), set_of(x)) for y, x in exch_bad),
                   key=lambda p: (key(p[0]), key(p[1])))
+
+
+# -- prefix-mask chain builders (references for the join-order chains) --------
+
+
+def naive_greedy_peel_masks(in_psi, s_mask: int) -> list:
+    chain = []
+    cur = s_mask
+    while cur:
+        chain.append(cur)
+        rest = cur
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if in_psi(cur ^ low):
+                cur ^= low
+                break
+        else:
+            raise AccessibilityFailure(set_of(cur))
+    chain.reverse()
+    return chain
+
+
+def naive_component_chain(adj: list, comp: int, sc: int) -> list:
+    """Chain for one component of the induced neighborhood.
+
+    ``sc`` is a maximum stable set of the tree on ``comp``. Non-perfect
+    components are first embedded (fresh partners appended to ``adj``), then
+    pendant-K2 edges are peeled; chain elements only ever contain original
+    vertices, so the embedding never leaks into the certificate.
+    """
+    if comp.bit_count() == 1:
+        if sc != comp:  # pragma: no cover - excluded by theory
+            raise InternalError("isolated neighborhood vertex outside the set")
+        return [sc]
+    covered = naive_mask_matching_cover(adj, comp)
+    if covered != comp:
+        for v in bits_of(comp & ~covered):
+            w = len(adj)
+            adj.append(1 << v)
+            adj[v] |= 1 << w
+            comp |= 1 << w
+    # peel pendant-K2 edges; record case (i) x-prefixes and case (ii) suffixes
+    ops = []
+    while comp.bit_count() > 2:
+        x, y = _mask_pendant_k2(adj, comp)
+        bx, by = 1 << x, 1 << y
+        if sc & bx:
+            ops.append((True, bx))
+            sc ^= bx
+        elif sc & by:
+            ops.append((False, sc))
+            sc ^= by
+        else:  # pragma: no cover - a maximum stable set meets every K2
+            raise InternalError("matched edge disjoint from a maximum stable set")
+        comp &= ~(bx | by)
+    if sc.bit_count() != 1:  # pragma: no cover
+        raise InternalError("base K2 holds more than one chosen vertex")
+    chain = [sc]
+    for is_prefix, payload in reversed(ops):
+        if is_prefix:
+            chain = [payload] + [m | payload for m in chain]
+        else:
+            chain = chain + [payload]
+    return chain
+
+
+def naive_constructive_chain_masks(g: Graph, s_mask: int) -> list:
+    adj = list(g._adj)
+    chain = []
+    prefix = 0
+    for comp in component_masks(adj, closed_mask_of(adj, s_mask)):
+        sc = s_mask & comp
+        for m in naive_component_chain(adj, comp, sc):
+            chain.append(prefix | m)
+        prefix |= sc
+    return chain
+
+
+def naive_nested_sets(masks: list) -> tuple:
+    """Freeze chain masks, growing each set from its predecessor when the
+    chain nests (it always does on success) instead of rebuilding it."""
+    sets = []
+    prev_mask, prev = 0, frozenset()
+    for m in masks:
+        prev = prev.union(bits_of(m ^ prev_mask)) if not prev_mask & ~m else set_of(m)
+        prev_mask = m
+        sets.append(prev)
+    return tuple(sets)
 
 
 # -- hypothesis strategies ---------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -83,6 +84,13 @@ class TestCommands:
     def test_alpha_from_stdin(self, capsys, monkeypatch):
         code, out, _ = run(capsys, monkeypatch, ["alpha"], stdin=FIG1_TEXT)
         assert code == 0 and "alpha: 3" in out
+
+    def test_graph_file_is_closed(self, capsys, monkeypatch, fig1_file):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, _ = run(capsys, monkeypatch, ["alpha", fig1_file])
+        assert code == 0
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_omega(self, capsys, monkeypatch, fig1_file):
         code, out, _ = run(capsys, monkeypatch,
