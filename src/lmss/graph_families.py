@@ -159,15 +159,6 @@ def _fig7(n: int) -> Graph:
     return Graph(labels, edges)
 
 
-def _random_tree(n: int, seed: int) -> Graph:
-    labels = [f"v{i + 1}" for i in range(n)]
-    if n == 1:
-        return Graph(labels)
-    rng = SplitMix64(seed)
-    seq = [rng.below(n) for _ in range(n - 2)]
-    return Graph(labels, prufer_decode(n, seq))
-
-
 def _random_forest(n: int, seed: int, delete_prob: float) -> Graph:
     """A random tree with each edge (in sorted order) independently deleted;
     the deletion draws continue the tree's SplitMix64 stream."""
@@ -217,7 +208,7 @@ def generate(spec: FamilySpec) -> Graph:
     if n < 1:
         raise InvalidFamilyParameterError(f"{fam} requires n >= 1")
     if fam == "random_tree":
-        return _random_tree(n, seed)
+        return _random_forest(n, seed, 0.0)
     if not 0.0 <= spec.delete_prob <= 1.0:
         raise InvalidFamilyParameterError("delete_prob must lie in [0, 1]")
     return _random_forest(n, seed, spec.delete_prob)

@@ -28,7 +28,6 @@ from . import stable_core
 from .errors import (
     AccessibilityFailure,
     InternalError,
-    InvalidVertexError,
     K2BaseCase,
     NotAForestError,
     NotDisjointOrNotStableError,
@@ -37,8 +36,7 @@ from .errors import (
     NotPerfectTreeError,
     SizeMismatchError,
 )
-from .graph_core import (Graph, bits_of, closed_mask_of, component_masks, leaf_peel,
-                         mask_of, set_of)
+from .graph_core import Graph, bits_of, closed_mask_of, component_masks, leaf_peel, set_of
 from .stable_core import SubsetOracle, canonical_sets
 
 
@@ -96,16 +94,10 @@ def chain_is_valid(cert: ChainCertificate, oracle: SubsetOracle | None = None,
     routes raise InvalidVertexError on a foreign vertex.
     """
     g = cert.graph
-    n = g.vertex_count
     in_psi = _membership(g, oracle, cap)
     prev = 0
     for i, s in enumerate(cert.chain, start=1):
-        try:
-            m = mask_of(s)
-        except (TypeError, ValueError):
-            raise InvalidVertexError(f"non-index member in {s!r}") from None
-        if m >> n:
-            raise InvalidVertexError(f"vertex set {sorted(s)} exceeds range 0..{n - 1}")
+        m = g.check_vertices_mask(s)[1]
         if m.bit_count() != i or prev & ~m or not in_psi(m):
             return False
         prev = m
@@ -223,17 +215,6 @@ def _greedy_peel_order(in_psi, s_mask: int) -> list:
     return removed[::-1]
 
 
-def _mask_matching_cover(adj: list, universe: int) -> int:
-    """Covered-vertex mask of the leaf-greedy maximum matching of the forest
-    induced on ``universe``: the pairs of graph_core.leaf_peel, whose heap
-    does O(n log n) work on bitmask adjacency (plus n-bit mask steps that
-    dominate at very large n)."""
-    covered = 0
-    for x, y in leaf_peel(adj, universe)[1]:
-        covered |= (1 << x) | (1 << y)
-    return covered
-
-
 def _mask_pendant_k2(adj: list, comp: int) -> tuple[int, int]:
     for x in bits_of(comp):
         live = adj[x] & comp
@@ -245,25 +226,14 @@ def _mask_pendant_k2(adj: list, comp: int) -> tuple[int, int]:
 
 
 def _component_chain(adj: list, comp: int, sc: int) -> list:
-    """Join order of ``sc`` for one component of the induced neighborhood.
+    """Join order of ``sc`` for one perfect tree ``comp`` of the embedded
+    neighborhood, where ``sc`` is a maximum stable set of that tree.
 
-    ``sc`` is a maximum stable set of the tree on ``comp``. Non-perfect
-    components are first embedded (fresh partners appended to ``adj``), then
-    pendant-K2 edges x-y are peeled. Chosen pendants x join first, in peel
-    order, then the chosen vertex of the final K2, then chosen neighbors y
-    in reverse peel order; the embedding's fresh vertices are never chosen.
+    Pendant-K2 edges x-y are peeled down to a final K2. Chosen pendants x
+    join first, in peel order, then the chosen vertex of the final K2, then
+    chosen neighbors y in reverse peel order; the embedding's fresh vertices
+    are never chosen.
     """
-    if comp.bit_count() == 1:
-        if sc != comp:  # pragma: no cover - excluded by theory
-            raise InternalError("isolated neighborhood vertex outside the set")
-        return [sc.bit_length() - 1]
-    covered = _mask_matching_cover(adj, comp)
-    if covered != comp:
-        for v in bits_of(comp & ~covered):
-            w = len(adj)
-            adj.append(1 << v)
-            adj[v] |= 1 << w
-            comp |= 1 << w
     head, tail = [], []
     while comp.bit_count() > 2:
         x, y = _mask_pendant_k2(adj, comp)
@@ -283,9 +253,22 @@ def _component_chain(adj: list, comp: int, sc: int) -> list:
 
 
 def _constructive_chain_order(g: Graph, s_mask: int) -> list:
+    """Embed N[S] into a perfect forest in one step: every vertex the
+    leaf-greedy matching leaves exposed gets a fresh pendant partner,
+    appended in ascending vertex order. Then join the orders of its
+    components, which are perfect trees ordered by their lowest vertex."""
     adj = list(g._adj)
+    forest = closed_mask_of(adj, s_mask)
+    covered = 0
+    for x, y in leaf_peel(adj, forest)[1]:
+        covered |= (1 << x) | (1 << y)
+    for v in bits_of(forest & ~covered):
+        w = len(adj)
+        adj.append(1 << v)
+        adj[v] |= 1 << w
+        forest |= 1 << w
     order = []
-    for comp in component_masks(adj, closed_mask_of(adj, s_mask)):
+    for comp in component_masks(adj, forest):
         order += _component_chain(adj, comp, s_mask & comp)
     return order
 
@@ -301,9 +284,9 @@ def chain_decompose(g: Graph, s, strategy: str = "greedy_peel",
     lowest-index vertex whose removal keeps the set in the family (the
     removed vertices join in reverse); on forests this always succeeds,
     elsewhere it may raise AccessibilityFailure. constructive (forests only)
-    follows the structural route instead: split the induced neighborhood
-    into components, embed each non-perfect component into a perfect tree,
-    peel pendant-K2 edges, and join the component orders one after another.
+    follows the structural route instead: embed the induced neighborhood
+    N[S] once into a perfect forest, split that into perfect trees, peel
+    pendant-K2 edges in each, and join the tree orders one after another.
 
     Membership is read from the oracle when one is given, else checked
     directly. The constructive chain is re-checked against the family only

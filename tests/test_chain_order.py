@@ -5,8 +5,8 @@ from functools import partial
 
 from hypothesis import given, strategies as st
 
-from lmss import AccessibilityFailure, SubsetOracle, chain_decompose
-from lmss.graph_core import set_of
+from lmss import AccessibilityFailure, Graph, SubsetOracle, chain_decompose
+from lmss.graph_core import mask_of, set_of
 from lmss.stable_core import in_psi_mask
 from conftest import (
     forests,
@@ -23,6 +23,19 @@ def greedy_outcome(build):
         return "chain", build()
     except AccessibilityFailure as e:
         return "stuck", e.stuck_set
+
+
+def test_constructive_chain_embeds_the_neighborhood_once():
+    # star 0-{1,2,3} leaves 2 and 3 exposed, 4 is isolated, path 5-6-7
+    # leaves 7 exposed: fresh partners 8..11 go to 2, 3, 4, 7 in that order,
+    # so 8-2 is the star's first pendant K2 and 2 joins after 3
+    g = Graph([f"v{i}" for i in range(8)], [(0, 1), (0, 2), (0, 3), (5, 6), (6, 7)])
+    s = {1, 2, 3, 4, 5, 7}
+    expected = [[1], [1, 3], [1, 2, 3], [1, 2, 3, 4], [1, 2, 3, 4, 5], [1, 2, 3, 4, 5, 7]]
+    for oracle in (None, SubsetOracle(g)):
+        chain = chain_decompose(g, s, "constructive", oracle=oracle).chain
+        assert [sorted(m) for m in chain] == expected
+        assert chain == naive_nested_sets(naive_constructive_chain_masks(g, mask_of(s)))
 
 
 @given(forests(max_n=40), st.integers(0, (1 << 40) - 1))

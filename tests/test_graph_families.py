@@ -4,6 +4,7 @@ import pytest
 
 from lmss import (
     FamilySpec,
+    Graph,
     InvalidFamilyParameterError,
     SplitMix64,
     decompose,
@@ -135,6 +136,19 @@ class TestRandomFamilies:
         c = generate(FamilySpec("random_forest", 14, seed=3))
         d = generate(FamilySpec("random_forest", 14, seed=3))
         assert c == d
+
+    def test_random_tree_is_the_undeleted_forest(self):
+        # a Pruefer sequence of n - 2 SplitMix64 draws, decoded; the forest
+        # draws the same sequence first and deletes nothing at probability 0
+        for n in range(1, 60):
+            for seed in range(30):
+                rng = SplitMix64(seed)
+                seq = [rng.below(n) for _ in range(n - 2)]
+                tree = Graph([f"v{i + 1}" for i in range(n)],
+                             prufer_decode(n, seq) if n > 1 else ())
+                assert generate(FamilySpec("random_tree", n, seed=seed)) == tree
+                assert generate(FamilySpec("random_forest", n, seed=seed,
+                                           delete_prob=0.0)) == tree
 
     def test_different_seeds_differ(self):
         seen = {generate(FamilySpec("random_tree", 10, seed=s)) for s in range(20)}
