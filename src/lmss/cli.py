@@ -1,7 +1,8 @@
 """Command-line surface tying the library operations together.
 
 Exit codes: 0 success, 1 a property violation was found (axiom violations,
-missing exchange witness, stuck chain), 2 usage or input errors.
+missing exchange witness, stuck chain), 2 usage or input errors (a missing
+or unreadable graph file included).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import sys
 import warnings
 
 from . import graph_families, greedoid_engine, perfect_embedding, stable_core, tree_matching
-from .cli_io import GraphDocument, emit, parse_graph, to_jsonable
+from .cli_io import GraphDocument, emit, labels_of, parse_graph, to_jsonable
 from .errors import AccessibilityFailure, LmssError
 from .graph_core import Graph, set_of
 from .graph_families import FamilySpec, generate
@@ -36,104 +37,77 @@ def _parse_set(g: Graph, text: str) -> frozenset:
     return frozenset(g.index_of(lbl) for lbl in labels)
 
 
-def _out(args, obj, graph=None) -> None:
-    sys.stdout.write(emit(obj, args.format, graph=graph))
-
-
-def cmd_alpha(args) -> int:
+def _run_graph_command(args) -> int:
+    """Read the graph once, run the command's handler ``(args, g) ->
+    (record, exit code)``, and write the record once."""
     g = _read_document(args.graph).graph
-    _out(args, stable_core.alpha(g, cap=args.cap), graph=g)
-    return 0
+    record, code = args.handler(args, g)
+    sys.stdout.write(emit(record, args.format, graph=g))
+    return code
 
 
-def cmd_omega(args) -> int:
-    g = _read_document(args.graph).graph
+def cmd_alpha(args, g):
+    return stable_core.alpha(g, cap=args.cap), 0
+
+
+def cmd_omega(args, g):
     sets = stable_core.enumerate_omega(g, cap=args.cap)
-    payload = {"alpha": len(sets[0]) if sets else 0,
-               "count": len(sets),
-               "sets": [[g.labels[v] for v in sorted(s)] for s in sets]}
-    _out(args, payload, graph=g)
-    return 0
+    return {"alpha": len(sets[0]) if sets else 0, "count": len(sets),
+            "sets": [labels_of(g, s) for s in sets]}, 0
 
 
-def cmd_psi(args) -> int:
-    g = _read_document(args.graph).graph
+def cmd_psi(args, g):
     if args.set is None:
-        _out(args, stable_core.enumerate_psi(g, cap=args.cap), graph=g)
-        return 0
+        return stable_core.enumerate_psi(g, cap=args.cap), 0
     s = _parse_set(g, args.set)
-    verdict = stable_core.is_local_max_stable(g, s, cap=args.cap)
-    _out(args, {"set": [g.labels[v] for v in sorted(s)],
-                "is_local_max_stable": verdict}, graph=g)
-    return 0
+    return {"set": labels_of(g, s),
+            "is_local_max_stable": stable_core.is_local_max_stable(g, s, cap=args.cap)}, 0
 
 
-def cmd_matching(args) -> int:
-    g = _read_document(args.graph).graph
+def cmd_matching(args, g):
     if args.internal_cover:
         m = tree_matching.internal_cover_matching(g)
     else:
         m = tree_matching.maximum_matching(g)
-    payload = to_jsonable(m, g)
-    payload["internal_cover"] = bool(args.internal_cover)
-    _out(args, payload, graph=g)
-    return 0
+    return {**to_jsonable(m, g), "internal_cover": args.internal_cover}, 0
 
 
-def cmd_ke_check(args) -> int:
-    g = _read_document(args.graph).graph
-    _out(args, tree_matching.verify_konig_egervary(g), graph=g)
-    return 0
+def cmd_ke_check(args, g):
+    return tree_matching.verify_konig_egervary(g), 0
 
 
-def cmd_embed(args) -> int:
-    g = _read_document(args.graph).graph
+def cmd_embed(args, g):
     mode = "pendant_only" if args.pendant_only else "any"
-    _out(args, perfect_embedding.embed_perfect(g, mode), graph=g)
-    return 0
+    return perfect_embedding.embed_perfect(g, mode), 0
 
 
-def cmd_chain(args) -> int:
-    g = _read_document(args.graph).graph
+def cmd_chain(args, g):
     strategy = {"greedy": "greedy_peel"}.get(args.strategy, args.strategy)
     try:
-        cert = greedoid_engine.chain_decompose(g, _parse_set(g, args.set),
-                                               strategy, cap=args.cap)
+        return greedoid_engine.chain_decompose(g, _parse_set(g, args.set),
+                                               strategy, cap=args.cap), 0
     except AccessibilityFailure as exc:
-        _out(args, {"stuck_set": [g.labels[v] for v in sorted(exc.stuck_set)],
-                    "error": "accessibility failure"}, graph=g)
-        return 1
-    _out(args, cert, graph=g)
-    return 0
+        return {"stuck_set": labels_of(g, exc.stuck_set),
+                "error": "accessibility failure"}, 1
 
 
-def cmd_nt_extend(args) -> int:
-    g = _read_document(args.graph).graph
-    s1 = _parse_set(g, args.s1)
-    s2 = _parse_set(g, args.s2)
+def cmd_nt_extend(args, g):
+    s1, s2 = _parse_set(g, args.s1), _parse_set(g, args.s2)
     result = greedoid_engine.nt_extend(g, s1, s2, cap=args.cap)
-    payload = {"s1": [g.labels[v] for v in sorted(s1)],
-               "s2": [g.labels[v] for v in sorted(s2)],
-               "s3": [g.labels[v] for v in sorted(result - s1)],
-               "result": [g.labels[v] for v in sorted(result)],
-               "alpha": len(result)}
-    _out(args, payload, graph=g)
-    return 0
+    return {"s1": labels_of(g, s1), "s2": labels_of(g, s2),
+            "s3": labels_of(g, result - s1), "result": labels_of(g, result),
+            "alpha": len(result)}, 0
 
 
-def cmd_exchange(args) -> int:
-    g = _read_document(args.graph).graph
+def cmd_exchange(args, g):
     w = greedoid_engine.exchange_witness(g, _parse_set(g, args.s1),
                                          _parse_set(g, args.s2), cap=args.cap)
-    _out(args, w, graph=g)
-    return 0 if w.witness is not None else 1
+    return w, 0 if w.witness is not None else 1
 
 
-def cmd_verify_greedoid(args) -> int:
-    g = _read_document(args.graph).graph
+def cmd_verify_greedoid(args, g):
     report = greedoid_engine.verify_greedoid(g, cap=args.cap)
-    _out(args, report, graph=g)
-    return 0 if report.accessibility_ok and report.exchange_ok else 1
+    return report, 0 if report.accessibility_ok and report.exchange_ok else 1
 
 
 def cmd_gen(args) -> int:
@@ -145,7 +119,8 @@ def cmd_gen(args) -> int:
         meta["prng"] = graph_families.PRNG_ALGORITHM
         if args.family == "random_forest":
             meta["delete_prob"] = str(args.delete_prob)
-    _out(args, GraphDocument(graph=g, source="family", metadata=meta))
+    sys.stdout.write(emit(GraphDocument(graph=g, source="family", metadata=meta),
+                          args.format))
     return 0
 
 
@@ -324,14 +299,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the brute-force/enumeration vertex caps")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def graph_cmd(name, func, help_, extra=None):
+    def graph_cmd(name, handler, help_, extra=None):
         p = sub.add_parser(name, parents=[common], help=help_)
         p.add_argument("graph", nargs="?", default="-",
                        help="graph file in edge-list format ('-' for stdin)")
         if extra:
             extra(p)
-        p.set_defaults(func=func)
-        return p
+        p.set_defaults(func=_run_graph_command, handler=handler)
 
     graph_cmd("alpha", cmd_alpha, "stability number with a witness set")
     graph_cmd("omega", cmd_omega, "every maximum stable set")
@@ -378,10 +352,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:  # pragma: no cover
         return 0
-    except LmssError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (LmssError, ValueError, OSError) as exc:  # input errors, unreadable files
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

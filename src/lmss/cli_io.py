@@ -121,7 +121,8 @@ def parse_graph(text) -> GraphDocument:
                          metadata={"format_version": FORMAT_VERSION})
 
 
-def _labels(g: Graph, s) -> list[str]:
+def labels_of(g: Graph, s) -> list[str]:
+    """The labels of the vertex set ``s`` of ``g``, in index order."""
     return [g.labels[v] for v in sorted(s)]
 
 
@@ -150,15 +151,15 @@ def to_jsonable(obj, graph: Graph | None = None):
         return _graph_dict(obj)
     if isinstance(obj, StableSetResult):
         g = need_graph()
-        return {"alpha": obj.size, "method": obj.method, "set": _labels(g, obj.set)}
+        return {"alpha": obj.size, "method": obj.method, "set": labels_of(g, obj.set)}
     if isinstance(obj, PsiFamily):
         g = obj.graph
-        return {"count": len(obj.members), "sets": [_labels(g, s) for s in obj.members]}
+        return {"count": len(obj.members), "sets": [labels_of(g, s) for s in obj.members]}
     if isinstance(obj, Matching):
         g = need_graph()
         return {"mu": len(obj.edges),
                 "edges": [[g.labels[u], g.labels[v]] for u, v in obj.edges],
-                "covered": _labels(g, obj.covered)}
+                "covered": labels_of(g, obj.covered)}
     if isinstance(obj, KonigEgervaryReport):
         return {"alpha": obj.alpha, "mu": obj.mu, "order": obj.order,
                 "identity_holds": obj.identity_holds,
@@ -166,15 +167,15 @@ def to_jsonable(obj, graph: Graph | None = None):
     if isinstance(obj, Embedding):
         h = obj.host
         return {"host": _graph_dict(h),
-                "original_vertices": _labels(h, obj.original_vertices),
+                "original_vertices": labels_of(h, obj.original_vertices),
                 "added_edges": [[h.labels[u], h.labels[v]] for u, v in obj.added_edges]}
     if isinstance(obj, ChainCertificate):
         g = obj.graph
         return {"strategy": obj.strategy,
-                "chain": [_labels(g, s) for s in obj.chain]}
+                "chain": [labels_of(g, s) for s in obj.chain]}
     if isinstance(obj, ExchangeWitness):
         g = need_graph()
-        return {"s1": _labels(g, obj.s1), "s2": _labels(g, obj.s2),
+        return {"s1": labels_of(g, obj.s1), "s2": labels_of(g, obj.s2),
                 "witness": None if obj.witness is None else g.labels[obj.witness]}
     if isinstance(obj, GreedoidReport):
         g = need_graph()
@@ -182,9 +183,9 @@ def to_jsonable(obj, graph: Graph | None = None):
                 "accessibility_ok": obj.accessibility_ok,
                 "exchange_ok": obj.exchange_ok,
                 "accessibility_violations":
-                    [_labels(g, s) for s in obj.accessibility_violations],
+                    [labels_of(g, s) for s in obj.accessibility_violations],
                 "exchange_violations":
-                    [[_labels(g, y), _labels(g, x)] for y, x in obj.exchange_violations]}
+                    [[labels_of(g, y), labels_of(g, x)] for y, x in obj.exchange_violations]}
     if isinstance(obj, dict):
         return obj
     raise UnsupportedFormatError(f"cannot serialize {type(obj).__name__}")

@@ -49,6 +49,8 @@ FAMILIES = ("path", "cycle", "complete", "star", "fig1", "fig2", "fig4_tree",
             "fig7", "random_tree", "random_forest")
 
 _FIXED_ORDER = {"fig1": 6, "fig2": 9, "fig4_tree": 11}
+_MIN_ORDER = {"path": 1, "cycle": 4, "complete": 1, "star": 1, "fig7": 6,
+              "random_tree": 1, "random_forest": 1}
 
 
 @dataclass(frozen=True)
@@ -84,6 +86,8 @@ def prufer_decode(n: int, seq) -> list[tuple[int, int]]:
     """Edges of the labeled tree on 0..n-1 encoded by ``seq`` (length n-2)."""
     if n < 2 or len(seq) != n - 2:
         raise InvalidFamilyParameterError(f"need n >= 2 and a length-{max(n - 2, 0)} sequence")
+    if seq and not 0 <= min(seq) <= max(seq) < n:
+        raise InvalidFamilyParameterError(f"sequence entries must lie in 0..{n - 1}")
     deg = [1] * n
     for v in seq:
         deg[v] += 1
@@ -110,6 +114,8 @@ def prufer_encode(n: int, edges) -> tuple[int, ...]:
     """Inverse of prufer_decode on labeled trees (smallest-leaf removal)."""
     if n < 2:
         raise InvalidFamilyParameterError("need n >= 2")
+    if any(not (0 <= u < n and 0 <= v < n) for u, v in edges):
+        raise InvalidFamilyParameterError(f"edge endpoints must lie in 0..{n - 1}")
     adj = [set() for _ in range(n)]
     for u, v in edges:
         adj[u].add(v)
@@ -151,8 +157,6 @@ def _fig4_tree() -> Graph:
 
 
 def _fig7(n: int) -> Graph:
-    if n < 6:
-        raise InvalidFamilyParameterError("fig7 requires n >= 6")
     labels = [f"a{i + 1}" for i in range(n)]
     edges = [(i, i + 1) for i in range(n - 3)]
     edges += [(n - 4, n - 2), (n - 3, n - 1), (n - 2, n - 1)]
@@ -184,29 +188,21 @@ def generate(spec: FamilySpec) -> Graph:
     n = spec.n
     if n is None:
         raise InvalidFamilyParameterError(f"family {fam!r} requires n")
+    if n < _MIN_ORDER[fam]:
+        raise InvalidFamilyParameterError(f"{fam} requires n >= {_MIN_ORDER[fam]}")
     if fam == "path":
-        if n < 1:
-            raise InvalidFamilyParameterError("path requires n >= 1")
         return Graph(_alpha_labels(n), [(i, i + 1) for i in range(n - 1)])
     if fam == "cycle":
-        if n < 4:
-            raise InvalidFamilyParameterError("cycle requires n >= 4")
         return Graph(_numeric_labels(n),
                      [(i, (i + 1) % n) for i in range(n)])
     if fam == "complete":
-        if n < 1:
-            raise InvalidFamilyParameterError("complete requires n >= 1")
         return Graph(_numeric_labels(n),
                      [(i, j) for i in range(n) for j in range(i + 1, n)])
     if fam == "star":
-        if n < 1:
-            raise InvalidFamilyParameterError("star requires n >= 1")
         return Graph(_alpha_labels(n), [(0, i) for i in range(1, n)])
     if fam == "fig7":
         return _fig7(n)
     seed = 0 if spec.seed is None else spec.seed
-    if n < 1:
-        raise InvalidFamilyParameterError(f"{fam} requires n >= 1")
     if fam == "random_tree":
         return _random_forest(n, seed, 0.0)
     if not 0.0 <= spec.delete_prob <= 1.0:

@@ -241,6 +241,14 @@ class TestErrorPaths:
         code, _, err = run(capsys, monkeypatch, ["alpha", str(dup)])
         assert code == 0 and "duplicate edge" in err
 
+    @pytest.mark.parametrize("name", ["missing.graph", "."])
+    def test_unreadable_graph_file_exit_2(self, capsys, monkeypatch, tmp_path, name):
+        # a missing file and a directory are input errors, not violations
+        code, out, err = run(capsys, monkeypatch,
+                             ["verify-greedoid", str(tmp_path / name)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bad_family_exit_2(self, capsys, monkeypatch):
         code, _, err = run(capsys, monkeypatch, ["gen", "--family", "cycle", "-n", "3"])
         assert code == 2 and "cycle" in err
@@ -302,6 +310,13 @@ class TestSubprocessContract:
                             stdin=FIG1_TEXT, env_extra={"PYTHONHASHSEED": seed})
             outs.append((gen.stdout, ver.stdout))
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("name", ["missing.graph", "."])
+    def test_unreadable_graph_file_exit_2(self, tmp_path, name):
+        res = self._run(["alpha", str(tmp_path / name)])
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+        assert "Traceback" not in res.stderr
 
     def test_selftest_quick(self):
         res = self._run(["selftest"])

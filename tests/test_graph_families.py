@@ -49,6 +49,17 @@ class TestBasicFamilies:
             with pytest.raises(InvalidFamilyParameterError):
                 generate(spec)
 
+    @pytest.mark.parametrize("family, k", [
+        ("path", 1), ("cycle", 4), ("complete", 1), ("star", 1), ("fig7", 6),
+        ("random_tree", 1), ("random_forest", 1)])
+    def test_order_below_minimum(self, family, k):
+        assert generate(FamilySpec(family, k)).vertex_count == k
+        # n is checked before delete_prob
+        spec = FamilySpec(family, k - 1, seed=3, delete_prob=1.5)
+        with pytest.raises(InvalidFamilyParameterError) as exc:
+            generate(spec)
+        assert str(exc.value) == f"{family} requires n >= {k}"
+
 
 class TestNamedExampleGraphs:
     def test_fig1_adjacency(self, fig1):
@@ -187,6 +198,16 @@ class TestPrufer:
             for t in enumerate_labeled_trees(n):
                 seq = prufer_encode(n, t.edges)
                 assert tuple(sorted(prufer_decode(n, list(seq)))) == t.edges
+
+
+    @pytest.mark.parametrize("call", [
+        lambda: prufer_decode(4, [-1, 0]),
+        lambda: prufer_decode(4, [7, 0]),
+        lambda: prufer_encode(3, [(0, 5), (1, 2)])],
+        ids=["decode negative", "decode too large", "encode endpoint too large"])
+    def test_out_of_range_vertices_refused(self, call):
+        with pytest.raises(InvalidFamilyParameterError, match=r"must lie in 0\.\."):
+            call()
 
 
 class TestEnumerateLabeledTrees:
