@@ -199,7 +199,6 @@ class TestPrufer:
                 seq = prufer_encode(n, t.edges)
                 assert tuple(sorted(prufer_decode(n, list(seq)))) == t.edges
 
-
     @pytest.mark.parametrize("call", [
         lambda: prufer_decode(4, [-1, 0]),
         lambda: prufer_decode(4, [7, 0]),
