@@ -122,10 +122,14 @@ def prufer_encode(n: int, edges) -> tuple[int, ...]:
         adj[v].add(u)
     if len(edges) != n - 1:
         raise InvalidFamilyParameterError("not a tree: wrong edge count")
+    if sum(map(len, adj)) != 2 * (n - 1):
+        raise InvalidFamilyParameterError("not a tree: repeated edge or self-loop")
     leaves = [v for v in range(n) if len(adj[v]) == 1]
     heapq.heapify(leaves)
     seq = []
     for _ in range(n - 2):
+        if not leaves:  # n - 1 distinct edges that run out of leaves close a cycle
+            raise InvalidFamilyParameterError("not a tree: it has a cycle")
         v = heapq.heappop(leaves)
         u = adj[v].pop()
         adj[u].discard(v)

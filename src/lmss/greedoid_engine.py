@@ -13,15 +13,18 @@ in _membership: the oracle's table lookup when a SubsetOracle is passed
 otherwise the direct closed-neighborhood check of stable_core.in_psi_mask
 (the neighborhood peel, with exhaustive search above ``cap`` only when the
 peel leaves a cyclic core). The engine then works on vertex bitmasks and
-join orders, and freezes sets only at the public boundary.
+join orders, and freezes sets only at the public boundary: a chain's
+prefixes only when they are read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
+from heapq import heappop, heappush
 from itertools import accumulate
-from operator import or_
+from operator import eq, index, or_
 from typing import NamedTuple, Optional
 
 from . import stable_core
@@ -40,13 +43,67 @@ from .graph_core import Graph, bits_of, closed_mask_of, component_masks, leaf_pe
 from .stable_core import SubsetOracle, canonical_sets
 
 
+class PrefixChain(Sequence):
+    """The prefixes of a join order, read as a tuple of frozensets.
+
+    Holds only the order, |S| entries. Iteration grows each prefix from
+    the one before and keeps none of them; indexing and slicing freeze the
+    prefixes they return. The chain compares equal, in both directions, to
+    the tuple of its prefixes, and hashes and prints like it.
+    """
+
+    __slots__ = ("_order",)
+
+    def __init__(self, order):
+        self._order = tuple(order)
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def __getitem__(self, i):
+        order = self._order
+        if isinstance(i, slice):
+            return tuple(frozenset(order[:j + 1]) for j in range(*i.indices(len(order))))
+        i = index(i)
+        if i < 0:
+            i += len(order)
+        if not 0 <= i < len(order):
+            raise IndexError("chain index out of range")
+        return frozenset(order[:i + 1])
+
+    def __iter__(self):
+        prefix = frozenset()
+        for v in self._order:
+            prefix = prefix.union((v,))
+            yield prefix
+
+    def __eq__(self, other):
+        if isinstance(other, PrefixChain):
+            return self._order == other._order
+        if isinstance(other, tuple):
+            return len(other) == len(self._order) and all(map(eq, self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class ChainCertificate:
     """Nested family members S1 c S2 c ... c Sk with |Si| = i, ending at
-    the requested set. An empty chain certifies the empty set."""
+    the requested set. An empty chain certifies the empty set.
+
+    chain_decompose stores the chain as a PrefixChain over the order in
+    which the vertices join, |S| entries; reading every prefix in full
+    (iteration, emit, the CLI's chain output) is still |S|(|S|+1)/2
+    entries. A tuple of frozensets is accepted too, and compares equal to
+    the PrefixChain of the same prefixes."""
 
     graph: Graph
-    chain: tuple  # tuple[frozenset], strictly ascending by one element
+    chain: Sequence  # of frozensets, strictly ascending by one element
     strategy: str  # "greedy_peel" | "constructive"
 
 
@@ -78,10 +135,11 @@ def _check_oracle(g: Graph, oracle: SubsetOracle) -> None:
 def _membership(g: Graph, oracle: SubsetOracle | None, cap):
     """The family-membership predicate on vertex masks of ``g``: the
     oracle's table lookup when one is given (after checking that it was
-    built for ``g``), else the direct check."""
+    built for ``g``), else the direct check. Its answers are only truthy
+    or falsy: the table route returns the flag byte itself."""
     if oracle is not None:
         _check_oracle(g, oracle)
-        return oracle.in_psi_mask
+        return oracle.psi_flags().__getitem__
     return partial(stable_core.in_psi_mask, g, cap=cap)
 
 
@@ -229,15 +287,42 @@ def _component_chain(adj: list, comp: int, sc: int) -> list:
     """Join order of ``sc`` for one perfect tree ``comp`` of the embedded
     neighborhood, where ``sc`` is a maximum stable set of that tree.
 
-    Pendant-K2 edges x-y are peeled down to a final K2. Chosen pendants x
+    Pendant-K2 edges x-y are peeled down to a final K2, each time with the
+    lowest pendant x whose neighbor y has degree two. Chosen pendants x
     join first, in peel order, then the chosen vertex of the final K2, then
     chosen neighbors y in reverse peel order; the embedding's fresh vertices
     are never chosen.
+
+    The candidates x wait in a min-heap, seeded by one scan and rechecked
+    when popped. Deleting x and y changes only the degree of y's other
+    neighbor z, so only z (when it becomes a pendant) and the pendants on z
+    (when z drops to degree two) are pushed. Every vertex is pushed as a
+    pendant, so it never leaves as a y, which has degree two.
     """
+    size = comp.bit_count()
+    if size == 2:
+        return [sc.bit_length() - 1]
+    heap = []  # filled in ascending order, so already a heap
+    rest = comp
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        x = low.bit_length() - 1
+        live = adj[x] & comp
+        if live.bit_count() == 1 and (adj[live.bit_length() - 1] & comp).bit_count() == 2:
+            heap.append(x)
     head, tail = [], []
-    while comp.bit_count() > 2:
-        x, y = _mask_pendant_k2(adj, comp)
-        bx, by = 1 << x, 1 << y
+    while True:
+        x = heappop(heap)
+        bx = 1 << x
+        live = adj[x] & comp
+        if live.bit_count() != 1:  # x went with its neighbor, or is no pendant
+            continue
+        y = live.bit_length() - 1
+        by = 1 << y
+        rest = (adj[y] & comp) ^ bx  # y's neighbors besides x
+        if rest.bit_count() != 1:
+            continue
         if sc & bx:
             head.append(x)
             sc ^= bx
@@ -246,7 +331,19 @@ def _component_chain(adj: list, comp: int, sc: int) -> list:
             sc ^= by
         else:  # pragma: no cover - a maximum stable set meets every K2
             raise InternalError("matched edge disjoint from a maximum stable set")
-        comp &= ~(bx | by)
+        comp ^= bx | by
+        size -= 2
+        if size == 2:
+            break
+        z = rest.bit_length() - 1
+        live = adj[z] & comp
+        d = live.bit_count()
+        if d == 1:
+            heappush(heap, z)
+        elif d == 2:
+            for u in bits_of(live):
+                if (adj[u] & comp).bit_count() == 1:
+                    heappush(heap, u)
     if sc.bit_count() != 1:  # pragma: no cover
         raise InternalError("base K2 holds more than one chosen vertex")
     return head + [sc.bit_length() - 1] + tail[::-1]
@@ -279,14 +376,15 @@ def chain_decompose(g: Graph, s, strategy: str = "greedy_peel",
     """Produce a nested chain of family members growing one vertex at a time
     up to ``s``.
 
-    Both strategies build the order in which the vertices of ``s`` join and
-    freeze its prefixes once. greedy_peel removes, at each step, the
-    lowest-index vertex whose removal keeps the set in the family (the
-    removed vertices join in reverse); on forests this always succeeds,
-    elsewhere it may raise AccessibilityFailure. constructive (forests only)
-    follows the structural route instead: embed the induced neighborhood
-    N[S] once into a perfect forest, split that into perfect trees, peel
-    pendant-K2 edges in each, and join the tree orders one after another.
+    Both strategies build the order in which the vertices of ``s`` join,
+    and the certificate's chain is a PrefixChain over it. greedy_peel
+    removes, at each step, the lowest-index vertex whose removal keeps the
+    set in the family (the removed vertices join in reverse); on forests
+    this always succeeds, elsewhere it may raise AccessibilityFailure.
+    constructive (forests only) follows the structural route instead:
+    embed the induced neighborhood N[S] once into a perfect forest, split
+    that into perfect trees, peel pendant-K2 edges in each, and join the
+    tree orders one after another.
 
     Membership is read from the oracle when one is given, else checked
     directly. The constructive chain is re-checked against the family only
@@ -307,18 +405,7 @@ def chain_decompose(g: Graph, s, strategy: str = "greedy_peel",
             raise InternalError("constructive chain left the family")
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    return ChainCertificate(graph=g, chain=_nested_sets(order), strategy=strategy)
-
-
-def _nested_sets(order: list) -> tuple:
-    """Freeze a join order into its prefixes, growing each set from its
-    predecessor by one vertex."""
-    sets = []
-    prev = frozenset()
-    for v in order:
-        prev = prev.union((v,))
-        sets.append(prev)
-    return tuple(sets)
+    return ChainCertificate(graph=g, chain=PrefixChain(order), strategy=strategy)
 
 
 def verify_greedoid(g: Graph, cap: int | None = None,

@@ -1,11 +1,24 @@
 """Chains built as vertex join orders against the prefix-mask builders they
-replaced."""
+replaced, and the lazy PrefixChain view the certificates hold."""
 
+import tracemalloc
 from functools import partial
 
+import pytest
 from hypothesis import given, strategies as st
 
-from lmss import AccessibilityFailure, Graph, SubsetOracle, chain_decompose
+from lmss import (
+    AccessibilityFailure,
+    ChainCertificate,
+    FamilySpec,
+    Graph,
+    SubsetOracle,
+    alpha,
+    chain_decompose,
+    chain_is_valid,
+    generate,
+)
+from lmss.greedoid_engine import PrefixChain
 from lmss.graph_core import mask_of, set_of
 from lmss.stable_core import in_psi_mask
 from conftest import (
@@ -66,3 +79,64 @@ def test_greedy_chains_match_prefix_masks_on_graphs(g):
         for o in (None, oracle):
             assert greedy_outcome(lambda: chain_decompose(g, set_of(m), oracle=o).chain) \
                 == expected
+
+
+# -- the lazy chain and the heap-driven peel ---------------------------------
+
+
+def test_prefix_chain_reads_like_the_tuple_of_its_prefixes():
+    chain = PrefixChain([4, 1, 7])
+    prefixes = (frozenset({4}), frozenset({1, 4}), frozenset({1, 4, 7}))
+    assert len(chain) == 3 and chain
+    assert chain[0] == prefixes[0] and chain[-1] == prefixes[-1] and chain[-3] == prefixes[0]
+    for i in (3, -4):
+        with pytest.raises(IndexError):
+            chain[i]
+    assert chain[1:] == prefixes[1:] and chain[::-1] == prefixes[::-1] and chain[5:] == ()
+    assert isinstance(chain[:2], tuple)
+    assert list(chain) == list(prefixes)
+    assert chain == prefixes and prefixes == chain
+    assert chain != prefixes[:2] and prefixes[:2] != chain and chain != list(prefixes)
+    assert chain == PrefixChain((4, 1, 7)) and chain != PrefixChain([1, 4, 7])
+    assert hash(chain) == hash(prefixes) and repr(chain) == repr(prefixes)
+    empty = PrefixChain([])
+    assert not empty and len(empty) == 0 and empty == () and () == empty
+    assert list(empty) == [] and repr(empty) == "()"
+
+
+def test_certificates_built_from_a_view_or_a_tuple_are_equal():
+    g = Graph([f"v{i}" for i in range(6)], [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+    for strategy in ("greedy_peel", "constructive"):
+        cert = chain_decompose(g, {1, 3, 5}, strategy)
+        assert isinstance(cert.chain, PrefixChain)
+        twin = ChainCertificate(g, tuple(cert.chain), strategy)
+        assert cert == twin and twin == cert and hash(cert) == hash(twin)
+        assert chain_is_valid(twin) and chain_is_valid(cert)
+
+
+def test_pendant_joins_the_heap_when_its_neighbor_drops_to_degree_two():
+    # spider: center 0 with pendant 1 and legs 0-2-3, 0-4-5, 0-6-7. 1 is no
+    # candidate until legs 3 and 5 are peeled and 0 has degree two; then it
+    # goes before 7, so 1 joins before the final K2's 7
+    g = Graph([f"v{i}" for i in range(8)],
+              [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (0, 6), (6, 7)])
+    s = {1, 3, 5, 7}
+    for oracle in (None, SubsetOracle(g)):
+        chain = chain_decompose(g, s, "constructive", oracle=oracle).chain
+        assert [sorted(m) for m in chain] == [[3], [3, 5], [1, 3, 5], [1, 3, 5, 7]]
+        assert chain == naive_nested_sets(naive_constructive_chain_masks(g, mask_of(s)))
+
+
+def test_constructive_certificate_memory_is_linear_in_the_set():
+    # the certificate holds the join order; freezing all |S|(|S|+1)/2
+    # prefix entries would take about 130 MB here
+    g = generate(FamilySpec("random_forest", n=4000, seed=7, delete_prob=0.15))
+    s = alpha(g).set
+    tracemalloc.start()
+    try:
+        cert = chain_decompose(g, s, "constructive")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cert.chain) == len(s) > 2000 and cert.chain[-1] == s
+    assert peak < 8_000_000, peak

@@ -208,6 +208,12 @@ class TestPrufer:
         with pytest.raises(InvalidFamilyParameterError, match=r"must lie in 0\.\."):
             call()
 
+    @pytest.mark.parametrize("edges", [[(0, 1), (1, 2), (0, 2)], [(0, 1), (0, 1), (2, 3)]],
+                             ids=["triangle plus isolated vertex", "repeated edge"])
+    def test_encode_refuses_non_tree_of_the_right_size(self, edges):
+        with pytest.raises(InvalidFamilyParameterError, match="not a tree"):
+            prufer_encode(4, edges)
+
 
 class TestEnumerateLabeledTrees:
     def test_counts(self):
