@@ -139,4 +139,4 @@ def test_constructive_certificate_memory_is_linear_in_the_set():
     finally:
         tracemalloc.stop()
     assert len(cert.chain) == len(s) > 2000 and cert.chain[-1] == s
-    assert peak < 8_000_000, peak
+    assert peak < 5_000_000, peak
