@@ -128,7 +128,10 @@ def prufer_encode(n: int, edges) -> tuple[int, ...]:
     heapq.heapify(leaves)
     seq = []
     for _ in range(n - 2):
-        if not leaves:  # n - 1 distinct edges that run out of leaves close a cycle
+        # n - 1 distinct edges on a non-tree leave a cycle, which is never
+        # peeled: the leaves run out, or a finished component's last leaf
+        # comes up with no neighbor left
+        if not leaves or not adj[leaves[0]]:
             raise InvalidFamilyParameterError("not a tree: it has a cycle")
         v = heapq.heappop(leaves)
         u = adj[v].pop()

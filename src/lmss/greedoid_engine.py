@@ -49,7 +49,9 @@ class PrefixChain(Sequence):
     Holds only the order, |S| entries. Iteration grows each prefix from
     the one before and keeps none of them; indexing and slicing freeze the
     prefixes they return. The chain compares equal, in both directions, to
-    the tuple of its prefixes, and hashes and prints like it.
+    the tuple of its prefixes, and hashes and prints like it. Like emit,
+    hash and repr build that tuple, every prefix at once: |S|(|S|+1)/2
+    entries.
     """
 
     __slots__ = ("_order",)
@@ -99,8 +101,9 @@ class ChainCertificate:
     chain_decompose stores the chain as a PrefixChain over the order in
     which the vertices join, |S| entries; reading every prefix in full
     (iteration, emit, the CLI's chain output) is still |S|(|S|+1)/2
-    entries. A tuple of frozensets is accepted too, and compares equal to
-    the PrefixChain of the same prefixes."""
+    entries, and hash and repr, of the chain or of the certificate, hold
+    all of them at once. A tuple of frozensets is accepted too, and
+    compares equal to the PrefixChain of the same prefixes."""
 
     graph: Graph
     chain: Sequence  # of frozensets, strictly ascending by one element
@@ -273,13 +276,20 @@ def _greedy_peel_order(in_psi, s_mask: int) -> list:
     return removed[::-1]
 
 
-def _mask_pendant_k2(adj: list, comp: int) -> tuple[int, int]:
+def _pendant_k2s(adj: list, comp: int):
+    """Yield every pendant-K2 edge (x, y) of ``comp``, x ascending: a
+    pendant x whose neighbor y has degree exactly 2."""
     for x in bits_of(comp):
         live = adj[x] & comp
         if live.bit_count() == 1:
             y = live.bit_length() - 1
             if (adj[y] & comp).bit_count() == 2:
-                return x, y
+                yield x, y
+
+
+def _mask_pendant_k2(adj: list, comp: int) -> tuple[int, int]:
+    for edge in _pendant_k2s(adj, comp):
+        return edge
     raise InternalError("perfect tree without a pendant-K2 edge")  # pragma: no cover
 
 
@@ -302,15 +312,7 @@ def _component_chain(adj: list, comp: int, sc: int) -> list:
     size = comp.bit_count()
     if size == 2:
         return [sc.bit_length() - 1]
-    heap = []  # filled in ascending order, so already a heap
-    rest = comp
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        x = low.bit_length() - 1
-        live = adj[x] & comp
-        if live.bit_count() == 1 and (adj[live.bit_length() - 1] & comp).bit_count() == 2:
-            heap.append(x)
+    heap = [x for x, _ in _pendant_k2s(adj, comp)]  # ascending, so already a heap
     head, tail = [], []
     while True:
         x = heappop(heap)

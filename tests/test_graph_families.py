@@ -208,11 +208,17 @@ class TestPrufer:
         with pytest.raises(InvalidFamilyParameterError, match=r"must lie in 0\.\."):
             call()
 
-    @pytest.mark.parametrize("edges", [[(0, 1), (1, 2), (0, 2)], [(0, 1), (0, 1), (2, 3)]],
-                             ids=["triangle plus isolated vertex", "repeated edge"])
-    def test_encode_refuses_non_tree_of_the_right_size(self, edges):
+    @pytest.mark.parametrize("n, edges", [
+        (4, [(0, 1), (1, 2), (0, 2)]),
+        (4, [(0, 1), (0, 1), (2, 3)]),
+        (5, [(0, 1), (1, 2), (0, 2), (3, 4)]),
+        (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)]),
+        (4, [(0, 0), (1, 2), (2, 3)]),
+    ], ids=["triangle plus isolated vertex", "repeated edge", "triangle plus K2",
+            "triangle plus P3", "self-loop"])
+    def test_encode_refuses_non_tree_of_the_right_size(self, n, edges):
         with pytest.raises(InvalidFamilyParameterError, match="not a tree"):
-            prufer_encode(4, edges)
+            prufer_encode(n, edges)
 
 
 class TestEnumerateLabeledTrees:
