@@ -27,10 +27,10 @@ GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
 
 GRAPHS = {"fig1": FamilySpec("fig1"), "fig4": FamilySpec("fig4_tree"),
           "c4": FamilySpec("cycle", 4), "p6": FamilySpec("path", 6),
-          "fig7": FamilySpec("fig7", 6)}
+          "fig7": FamilySpec("fig7", 6), "star5": FamilySpec("star", 5)}
 
-_ALL = tuple(GRAPHS)
-_FORESTS = ("fig4", "p6")
+_ALL = ("fig1", "fig4", "c4", "p6", "fig7")
+_FORESTS = ("fig4", "p6", "star5")  # star5 leaves three leaves exposed, p6 none
 
 # (command, graph, extra arguments); every case runs in text and json
 _COMMANDS = (
@@ -53,7 +53,9 @@ _COMMANDS = (
        ("exchange", "fig7", ["--s1", "a1", "--s2", "a4,a5"])]  # no witness: exit 1
     + [("verify-greedoid", g, []) for g in _ALL]
     # input errors: exit 2 with one error line
-    + [("matching", "c4", []), ("psi", "fig1", ["--set", "a,zz"]),
+    + [("matching", "c4", []), ("matching", "c4", ["--internal-cover"]),
+       ("ke-check", "c4", []), ("embed", "c4", []), ("embed", "c4", ["--pendant-only"]),
+       ("psi", "fig1", ["--set", "a,zz"]),
        ("chain", "p6", ["--set", "a,b"]),
        ("chain", "c4", ["--set", "1,3", "--strategy", "constructive"])]
 )
