@@ -190,20 +190,23 @@ class Graph:
             raise InvalidVertexError(f"unknown label {label!r}") from None
 
     def adjacency_mask(self, v: int) -> int:
-        """Open neighborhood of ``v`` as a bitmask."""
+        """Open neighborhood of ``v`` as a bitmask; ``v`` must lie in 0..n-1."""
+        if not 0 <= v < self.vertex_count:  # _adj[-1] would read another vertex
+            raise InvalidVertexError(f"vertex {v!r} out of range 0..{self.vertex_count - 1}")
         return self._adj[v]
 
     def closed_mask(self, v: int) -> int:
-        return self._adj[v] | (1 << v)
+        return self.adjacency_mask(v) | (1 << v)
 
     def degree(self, v: int) -> int:
-        return self._adj[v].bit_count()
+        return self.adjacency_mask(v).bit_count()
 
     def neighbors(self, v: int) -> list[int]:
-        return list(bits_of(self._adj[v]))
+        return list(bits_of(self.adjacency_mask(v)))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self._adj[u] & (1 << v))
+        self.adjacency_mask(v)  # refuses v before 1 << v can allocate
+        return bool(self.adjacency_mask(u) & (1 << v))
 
     def full_mask(self) -> int:
         return (1 << self.vertex_count) - 1
@@ -217,11 +220,14 @@ class Graph:
         s = vertices if isinstance(vertices, frozenset) else frozenset(vertices)
         m = 0
         try:
-            for v in s:
-                m |= 1 << v
+            # max() refuses a too-large index before 1 << v allocates that wide
+            too_large = s and max(s) >= self.vertex_count
+            if not too_large:
+                for v in s:
+                    m |= 1 << v
         except (TypeError, ValueError):
             raise InvalidVertexError(f"non-index member in {s!r}") from None
-        if m >> self.vertex_count:
+        if too_large:
             raise InvalidVertexError(
                 f"vertex set {sorted(s)} exceeds range 0..{self.vertex_count - 1}")
         return s, m
@@ -280,7 +286,7 @@ def induced_subgraph(g: Graph, a: Iterable[int]) -> Graph:
     kmask = mask_of(keep)
     edges = []
     for old in keep:
-        for w in bits_of(g.adjacency_mask(old) & kmask):
+        for w in bits_of(g._adj[old] & kmask):
             if w > old:
                 edges.append((remap[old], remap[w]))
     return Graph(labels, edges)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from lmss import (
@@ -8,6 +10,7 @@ from lmss import (
     closed_neighborhood,
     decompose,
     induced_subgraph,
+    is_local_max_stable,
     pendant_vertices,
 )
 from conftest import labels_to_set, naive_closed_neighborhood, path
@@ -27,6 +30,35 @@ class TestGraphConstruction:
         assert g.degree(1) == 2
         assert g.neighbors(1) == [0, 2]
         assert g.has_edge(0, 1) and not g.has_edge(0, 2)
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_accessors_refuse_out_of_range_vertices(self, bad):
+        g = Graph(["a", "b", "c"], [(0, 1), (1, 2)])
+        for call in (g.adjacency_mask, g.closed_mask, g.degree, g.neighbors,
+                     lambda v: g.has_edge(v, 1), lambda v: g.has_edge(1, v)):
+            with pytest.raises(InvalidVertexError, match="out of range 0..2"):
+                call(bad)
+
+    def test_vertex_sets_keep_their_refusals(self):
+        g = Graph(["a", "b", "c"], [(0, 1), (1, 2)])
+        with pytest.raises(InvalidVertexError, match="exceeds range 0..2"):
+            g.check_vertices({0, 3})
+        for bad in ({-1}, {0, "a"}, {1.5}):
+            with pytest.raises(InvalidVertexError, match="non-index member"):
+                g.check_vertices(bad)
+
+    def test_huge_vertex_refused_before_allocating(self):
+        g = Graph(["a", "b"], [(0, 1)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidVertexError, match="exceeds range"):
+                is_local_max_stable(g, {10**9})
+            with pytest.raises(InvalidVertexError):
+                g.has_edge(0, 10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_rejects_self_loop(self):
         with pytest.raises(SelfLoopError):
