@@ -24,8 +24,8 @@ class NotPerfectTreeError(LmssError):
 
 
 class K2BaseCase(LmssError):
-    """Raised by pendant_k2_edge on a two-vertex tree; callers use it to
-    terminate the peeling recursion."""
+    """Raised by pendant_k2_edge on a two-vertex tree, which has no
+    pendant-K2 edge to peel: pendant-K2 peeling ends there."""
 
 
 class TooLargeForBruteForce(LmssError):

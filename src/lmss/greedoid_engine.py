@@ -40,6 +40,7 @@ from .errors import (
     SizeMismatchError,
 )
 from .graph_core import Graph, bits_of, closed_mask_of, component_masks, leaf_peel, set_of
+from .perfect_embedding import fresh_partners
 from .stable_core import SubsetOracle, canonical_sets
 
 
@@ -169,8 +170,8 @@ def pendant_k2_edge(g: Graph) -> tuple[int, int]:
     """The peeling edge of a perfect tree: a pendant x whose neighbor y has
     degree exactly 2 (so deleting both leaves a smaller perfect tree).
 
-    Scans pendants in index order. Raises K2BaseCase on the two-vertex tree
-    so recursive callers can stop.
+    Scans pendants in index order. Raises K2BaseCase on the two-vertex tree,
+    which has no pendant-K2 edge to peel.
     """
     n = g.vertex_count
     if not (n >= 2 and g.is_forest and g.edge_count == n - 1):
@@ -352,17 +353,13 @@ def _component_chain(adj: list, comp: int, sc: int) -> list:
 
 
 def _constructive_chain_order(g: Graph, s_mask: int) -> list:
-    """Embed N[S] into a perfect forest in one step: every vertex the
-    leaf-greedy matching leaves exposed gets a fresh pendant partner,
-    appended in ascending vertex order. Then join the orders of its
+    """Embed N[S] into a perfect forest by embed_perfect's fresh-partner
+    step on the leaf-greedy matching of N[S]. Then join the orders of its
     components, which are perfect trees ordered by their lowest vertex."""
     adj = list(g._adj)
     forest = closed_mask_of(adj, s_mask)
-    covered = 0
-    for x, y in leaf_peel(adj, forest)[1]:
-        covered |= (1 << x) | (1 << y)
-    for v in bits_of(forest & ~covered):
-        w = len(adj)
+    covered = {v for pair in leaf_peel(adj, forest)[1] for v in pair}
+    for v, w in fresh_partners(covered, bits_of(forest), len(adj)):
         adj.append(1 << v)
         adj[v] |= 1 << w
         forest |= 1 << w

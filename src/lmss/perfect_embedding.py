@@ -11,6 +11,7 @@ isolated vertex of the original forest.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from . import stable_core
 from .errors import InternalError, InvalidVertexError
@@ -37,6 +38,13 @@ def _fresh_label(base: str, taken: set) -> str:
     return cand
 
 
+def fresh_partners(covered, universe: Iterable[int], first: int) -> list:
+    """The embedding step: each vertex of ``universe`` (ascending) that is not
+    ``covered`` gets a fresh partner, numbered from ``first`` on. Edges (v, w)."""
+    exposed = [v for v in universe if v not in covered]
+    return list(zip(exposed, range(first, first + len(exposed))))
+
+
 def embed_perfect(g: Graph, mode: str = "any") -> Embedding:
     """Embed a forest into a perfect forest with the same stability number.
 
@@ -48,27 +56,16 @@ def embed_perfect(g: Graph, mode: str = "any") -> Embedding:
     if mode not in ("any", "pendant_only"):
         raise ValueError(f"unknown mode {mode!r}")
     matching = maximum_matching(g) if mode == "any" else internal_cover_matching(g)
-    exposed = [v for v in range(g.vertex_count) if v not in matching.covered]
-    if not exposed:
-        return Embedding(host=g, original_vertices=frozenset(range(g.vertex_count)),
-                         added_edges=())
+    n = g.vertex_count
+    added = tuple(fresh_partners(matching.covered, range(n), n))
     taken = set(g.labels)
-    labels = list(g.labels)
-    edges = list(g.edges)
-    added = []
-    for v in exposed:
-        w = len(labels)
-        labels.append(_fresh_label(g.labels[v], taken))
-        edges.append((v, w))
-        added.append((v, w))
-    host = Graph(labels, edges)
-    host_mu = len(maximum_matching(host))
-    if 2 * host_mu != host.vertex_count:
+    labels = list(g.labels) + [_fresh_label(g.labels[v], taken) for v, _ in added]
+    host = Graph(labels, g.edges + added) if added else g
+    if not host.is_forest or 2 * len(host.peel[1]) != host.vertex_count:
         raise InternalError("embedding failed to produce a perfect forest")
-    if stable_core.alpha(host).size != stable_core.alpha(g).size:
+    if host.peel[0].bit_count() != g.peel[0].bit_count():
         raise InternalError("embedding changed the stability number")
-    return Embedding(host=host, original_vertices=frozenset(range(g.vertex_count)),
-                     added_edges=tuple(added))
+    return Embedding(host=host, original_vertices=frozenset(range(n)), added_edges=added)
 
 
 def psi_restrict_check(host: Graph, sub_vertices, a) -> bool:

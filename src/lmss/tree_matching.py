@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import stable_core
 from .errors import InternalError, NotAForestError
 from .graph_core import Graph
 
@@ -77,7 +76,7 @@ def internal_cover_matching(g: Graph) -> Matching:
     n = g.vertex_count
     adj = g._adj
     partner = [-1] * n
-    for u, v in maximum_matching(g).edges:
+    for u, v in g.peel[1]:
         partner[u] = v
         partner[v] = u
 
@@ -114,8 +113,8 @@ def verify_konig_egervary(g: Graph) -> KonigEgervaryReport:
     so callers and tests can confirm it instance by instance.
     """
     _require_forest(g, "verify_konig_egervary")
-    a = stable_core.alpha(g).size
-    mu = len(maximum_matching(g))
+    a = g.peel[0].bit_count()
+    mu = len(g.peel[1])
     n = g.vertex_count
     return KonigEgervaryReport(
         alpha=a,

@@ -3,10 +3,12 @@ import pytest
 from lmss import (
     FamilySpec,
     Graph,
+    InternalError,
     InvalidVertexError,
     NotAForestError,
     SplitMix64,
     alpha,
+    closed_neighborhood,
     embed_perfect,
     enumerate_psi,
     generate,
@@ -14,6 +16,8 @@ from lmss import (
     maximum_matching,
     psi_restrict_check,
 )
+from lmss import perfect_embedding
+from lmss.perfect_embedding import fresh_partners
 from conftest import labels_to_set, naive_alpha, path
 
 
@@ -26,6 +30,29 @@ def two_branch_tree() -> Graph:
              (0, 3), (3, 8),                  # t1-t4, t4-t9
              (1, 5), (5, 9)]                  # t2-t6, t6-t10
     return Graph(labels, pairs)
+
+
+class TestFreshPartners:
+    def test_exposed_vertices_partnered_ascending_from_first(self):
+        # 0 is isolated; the tree 1-2, 2-3, 2-4 leaves 3 and 4 exposed; the
+        # path 5-6-7 leaves 7 exposed
+        g = Graph([f"v{i}" for i in range(8)], [(1, 2), (2, 3), (2, 4), (5, 6), (6, 7)])
+        covered = maximum_matching(g).covered
+        assert covered == {1, 2, 5, 6}
+        assert fresh_partners(covered, range(8), 8) == [(0, 8), (3, 9), (4, 10), (7, 11)]
+        # the constructive chain's universe is N[S], here N[{3, 7}]
+        universe = sorted(closed_neighborhood(g, {3, 7}))
+        assert universe == [2, 3, 6, 7]
+        assert fresh_partners(covered, universe, 20) == [(3, 20), (7, 21)]
+        assert fresh_partners(covered, [], 8) == []
+
+    def test_dropped_partner_is_caught(self, monkeypatch):
+        step = perfect_embedding.fresh_partners
+        monkeypatch.setattr(perfect_embedding, "fresh_partners", lambda *a: step(*a)[:-1])
+        for mode in ("any", "pendant_only"):
+            with pytest.raises(InternalError,
+                               match="embedding failed to produce a perfect forest"):
+                embed_perfect(two_branch_tree(), mode)
 
 
 class TestEmbedPerfect:
