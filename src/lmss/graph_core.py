@@ -218,18 +218,16 @@ class Graph:
     def check_vertices_mask(self, vertices: Iterable[int]) -> tuple[frozenset, int]:
         """Validate a vertex set and return it with its bitmask."""
         s = vertices if isinstance(vertices, frozenset) else frozenset(vertices)
+        n = self.vertex_count
         m = 0
         try:
-            # max() refuses a too-large index before 1 << v allocates that wide
-            too_large = s and max(s) >= self.vertex_count
-            if not too_large:
-                for v in s:
-                    m |= 1 << v
+            for v in s:
+                # a v past the range sets bit n only, not a mask as wide as v
+                m |= 1 << (v if v < n else n)
         except (TypeError, ValueError):
             raise InvalidVertexError(f"non-index member in {s!r}") from None
-        if too_large:
-            raise InvalidVertexError(
-                f"vertex set {sorted(s)} exceeds range 0..{self.vertex_count - 1}")
+        if m >> n:
+            raise InvalidVertexError(f"vertex set {sorted(s)} exceeds range 0..{n - 1}")
         return s, m
 
     @property

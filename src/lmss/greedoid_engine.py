@@ -358,8 +358,7 @@ def _constructive_chain_order(g: Graph, s_mask: int) -> list:
     components, which are perfect trees ordered by their lowest vertex."""
     adj = list(g._adj)
     forest = closed_mask_of(adj, s_mask)
-    covered = {v for pair in leaf_peel(adj, forest)[1] for v in pair}
-    for v, w in fresh_partners(covered, bits_of(forest), len(adj)):
+    for v, w in fresh_partners(leaf_peel(adj, forest)[1], forest, len(adj)):
         adj.append(1 << v)
         adj[v] |= 1 << w
         forest |= 1 << w

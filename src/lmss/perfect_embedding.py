@@ -11,11 +11,11 @@ isolated vertex of the original forest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import count
 
 from . import stable_core
 from .errors import InternalError, InvalidVertexError
-from .graph_core import Graph, induced_subgraph
+from .graph_core import Graph, bits_of, induced_subgraph
 from .tree_matching import internal_cover_matching, maximum_matching
 
 
@@ -38,11 +38,14 @@ def _fresh_label(base: str, taken: set) -> str:
     return cand
 
 
-def fresh_partners(covered, universe: Iterable[int], first: int) -> list:
-    """The embedding step: each vertex of ``universe`` (ascending) that is not
-    ``covered`` gets a fresh partner, numbered from ``first`` on. Edges (v, w)."""
-    exposed = [v for v in universe if v not in covered]
-    return list(zip(exposed, range(first, first + len(exposed))))
+def fresh_partners(pairs, universe: int, first: int) -> list:
+    """The embedding step: each vertex of the mask ``universe`` that no edge
+    of the matching ``pairs`` covers gets a fresh partner, in ascending order
+    and numbered from ``first`` on. Returns the new edges (v, w)."""
+    covered = 0
+    for x, y in pairs:
+        covered |= (1 << x) | (1 << y)
+    return list(zip(bits_of(universe & ~covered), count(first)))
 
 
 def embed_perfect(g: Graph, mode: str = "any") -> Embedding:
@@ -57,7 +60,7 @@ def embed_perfect(g: Graph, mode: str = "any") -> Embedding:
         raise ValueError(f"unknown mode {mode!r}")
     matching = maximum_matching(g) if mode == "any" else internal_cover_matching(g)
     n = g.vertex_count
-    added = tuple(fresh_partners(matching.covered, range(n), n))
+    added = tuple(fresh_partners(matching.edges, g.full_mask(), n))
     taken = set(g.labels)
     labels = list(g.labels) + [_fresh_label(g.labels[v], taken) for v, _ in added]
     host = Graph(labels, g.edges + added) if added else g

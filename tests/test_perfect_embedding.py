@@ -17,6 +17,7 @@ from lmss import (
     psi_restrict_check,
 )
 from lmss import perfect_embedding
+from lmss.graph_core import mask_of
 from lmss.perfect_embedding import fresh_partners
 from conftest import labels_to_set, naive_alpha, path
 
@@ -37,14 +38,13 @@ class TestFreshPartners:
         # 0 is isolated; the tree 1-2, 2-3, 2-4 leaves 3 and 4 exposed; the
         # path 5-6-7 leaves 7 exposed
         g = Graph([f"v{i}" for i in range(8)], [(1, 2), (2, 3), (2, 4), (5, 6), (6, 7)])
-        covered = maximum_matching(g).covered
-        assert covered == {1, 2, 5, 6}
-        assert fresh_partners(covered, range(8), 8) == [(0, 8), (3, 9), (4, 10), (7, 11)]
+        pairs = maximum_matching(g).edges
+        assert pairs == ((1, 2), (5, 6))
+        assert fresh_partners(pairs, g.full_mask(), 8) == [(0, 8), (3, 9), (4, 10), (7, 11)]
         # the constructive chain's universe is N[S], here N[{3, 7}]
-        universe = sorted(closed_neighborhood(g, {3, 7}))
-        assert universe == [2, 3, 6, 7]
-        assert fresh_partners(covered, universe, 20) == [(3, 20), (7, 21)]
-        assert fresh_partners(covered, [], 8) == []
+        assert closed_neighborhood(g, {3, 7}) == {2, 3, 6, 7}
+        assert fresh_partners(pairs, mask_of({2, 3, 6, 7}), 20) == [(3, 20), (7, 21)]
+        assert fresh_partners(pairs, 0, 8) == []
 
     def test_dropped_partner_is_caught(self, monkeypatch):
         step = perfect_embedding.fresh_partners
