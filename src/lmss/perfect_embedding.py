@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
+from typing import Iterator
 
 from . import stable_core
 from .errors import InternalError, InvalidVertexError
@@ -38,14 +39,14 @@ def _fresh_label(base: str, taken: set) -> str:
     return cand
 
 
-def fresh_partners(pairs, universe: int, first: int) -> list:
+def fresh_partners(pairs, universe: int, first: int) -> Iterator[tuple[int, int]]:
     """The embedding step: each vertex of the mask ``universe`` that no edge
     of the matching ``pairs`` covers gets a fresh partner, in ascending order
-    and numbered from ``first`` on. Returns the new edges (v, w)."""
+    and numbered from ``first`` on. Yields the new edges (v, w)."""
     covered = 0
     for x, y in pairs:
         covered |= (1 << x) | (1 << y)
-    return list(zip(bits_of(universe & ~covered), count(first)))
+    return zip(bits_of(universe & ~covered), count(first))
 
 
 def embed_perfect(g: Graph, mode: str = "any") -> Embedding:
