@@ -40,9 +40,8 @@ def _fresh_label(base: str, taken: set) -> str:
 
 
 def fresh_partners(pairs, universe: int, first: int) -> Iterator[tuple[int, int]]:
-    """The embedding step: each vertex of the mask ``universe`` that no edge
-    of the matching ``pairs`` covers gets a fresh partner, in ascending order
-    and numbered from ``first`` on. Yields the new edges (v, w)."""
+    """The embedding step: the vertices of the mask ``universe`` that the matching
+    ``pairs`` leaves exposed get partners first, first + 1, ... in ascending order."""
     covered = 0
     for x, y in pairs:
         covered |= (1 << x) | (1 << y)
