@@ -23,8 +23,7 @@ import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from lmss import AccessibilityFailure, Graph, FamilySpec, InternalError, Matching, generate
-from lmss.graph_core import bits_of, closed_mask_of, component_masks, mask_of, set_of
-from lmss.greedoid_engine import _mask_pendant_k2
+from lmss.graph_core import bits_of, mask_of, set_of
 
 settings.register_profile(
     "lmss", derandomize=True, deadline=None, max_examples=150, database=None,
@@ -108,6 +107,64 @@ def naive_mu(g: Graph) -> int:
     return 0
 
 
+# -- kernel copies -------------------------------------------------------------
+#
+# The references below build their adjacency masks from the edge list and
+# call these copies of the library's helpers, so a fault in the library's
+# adjacency or helpers cannot move a reference along with the code.
+
+
+def naive_adjacency(g: Graph) -> list:
+    """One neighbour bitmask per vertex, built from ``g.edges``."""
+    adj = [0] * g.vertex_count
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+def closed_mask_of(adj: list, mask: int) -> int:
+    """N[S] as a bitmask, for the vertex set S given by ``mask``."""
+    closed = mask
+    for v in bits_of(mask):
+        closed |= adj[v]
+    return closed
+
+
+def component_masks(adj: list, universe: int) -> list:
+    """Connected components of the subgraph induced on ``universe``, as
+    masks ordered by their lowest vertex."""
+    components = []
+    while universe:
+        comp = frontier = universe & -universe
+        while frontier:
+            grow = 0
+            for v in bits_of(frontier):
+                grow |= adj[v]
+            frontier = grow & universe & ~comp
+            comp |= frontier
+        universe ^= comp
+        components.append(comp)
+    return components
+
+
+def _pendant_k2s(adj: list, comp: int):
+    """Yield every pendant-K2 edge (x, y) of ``comp``, x ascending: a
+    pendant x whose neighbor y has degree exactly 2."""
+    for x in bits_of(comp):
+        live = adj[x] & comp
+        if live.bit_count() == 1:
+            y = live.bit_length() - 1
+            if (adj[y] & comp).bit_count() == 2:
+                yield x, y
+
+
+def _mask_pendant_k2(adj: list, comp: int) -> tuple[int, int]:
+    for edge in _pendant_k2s(adj, comp):
+        return edge
+    raise InternalError("perfect tree without a pendant-K2 edge")  # pragma: no cover
+
+
 # -- quadratic pendant scans (references for graph_core.leaf_peel) -------------
 #
 # Each rescans the whole active mask after every deletion. They pick the
@@ -123,7 +180,7 @@ def naive_alpha_forest(g: Graph) -> frozenset:
     """
     n = g.vertex_count
     active = g.full_mask()
-    adj = g._adj
+    adj = naive_adjacency(g)
     chosen = 0
     while active:
         progress = False
@@ -153,7 +210,7 @@ def naive_maximum_matching(g: Graph) -> Matching:
     Repeatedly matches the lowest-index pendant of the remaining graph to
     its unique neighbor and deletes both; isolated vertices are dropped.
     """
-    adj = g._adj
+    adj = naive_adjacency(g)
     active = g.full_mask()
     edges = []
     while active:
@@ -200,7 +257,7 @@ def naive_internal_cover_matching(g: Graph) -> Matching:
     """Internal-cover repair that rescans from vertex 0 after every repair,
     starting from the quadratic leaf-greedy matching."""
     n = g.vertex_count
-    adj = g._adj
+    adj = naive_adjacency(g)
     partner = [-1] * n
     for u, v in naive_maximum_matching(g).edges:
         partner[u] = v
@@ -243,7 +300,7 @@ def naive_subset_tables(g: Graph) -> tuple[bytearray, bytearray]:
     2^n subsets."""
     n = g.vertex_count
     size = 1 << n
-    nbm = [g.closed_mask(v) for v in range(n)]
+    nbm = [m | (1 << v) for v, m in enumerate(naive_adjacency(g))]
     # alpha(X) = max(alpha(X - v), 1 + alpha(X - N[v])) for v the lowest
     # bit of X; the second branch commits v to the stable set.
     alpha = bytearray(size)
@@ -366,7 +423,7 @@ def naive_component_chain(adj: list, comp: int, sc: int) -> list:
 
 
 def naive_constructive_chain_masks(g: Graph, s_mask: int) -> list:
-    adj = list(g._adj)
+    adj = naive_adjacency(g)
     chain = []
     prefix = 0
     for comp in component_masks(adj, closed_mask_of(adj, s_mask)):
