@@ -180,11 +180,12 @@ def pendant_k2_edge(g: Graph) -> tuple[int, int]:
     if 2 * len(pairs) != n:
         raise NotPerfectTreeError("tree has no perfect matching")
     if n == 2:
-        raise K2BaseCase("two-vertex tree: peeling recursion bottoms out")
-    x, y = _mask_pendant_k2(g._adj, g.full_mask())
-    if (x, y) not in pairs and (y, x) not in pairs:  # pragma: no cover - forced for pendants
-        raise InternalError("pendant edge missing from the perfect matching")
-    return (x, y)
+        raise K2BaseCase("two-vertex tree: no pendant-K2 edge to peel")
+    for x, y in _pendant_k2s(g._adj, g.full_mask()):
+        if (x, y) not in pairs and (y, x) not in pairs:  # pragma: no cover - forced for pendants
+            raise InternalError("pendant edge missing from the perfect matching")
+        return (x, y)
+    raise InternalError("perfect tree without a pendant-K2 edge")  # pragma: no cover
 
 
 def union_local_max(g: Graph, a, b, oracle: SubsetOracle | None = None,
@@ -286,12 +287,6 @@ def _pendant_k2s(adj: list, comp: int):
             y = live.bit_length() - 1
             if (adj[y] & comp).bit_count() == 2:
                 yield x, y
-
-
-def _mask_pendant_k2(adj: list, comp: int) -> tuple[int, int]:
-    for edge in _pendant_k2s(adj, comp):
-        return edge
-    raise InternalError("perfect tree without a pendant-K2 edge")  # pragma: no cover
 
 
 def _component_chain(adj: list, comp: int, sc: int) -> list:

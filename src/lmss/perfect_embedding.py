@@ -16,7 +16,7 @@ from typing import Iterator
 
 from . import stable_core
 from .errors import InternalError, InvalidVertexError
-from .graph_core import Graph, bits_of, induced_subgraph
+from .graph_core import Graph, bits_of, closed_mask_of
 from .tree_matching import internal_cover_matching, maximum_matching
 
 
@@ -79,11 +79,10 @@ def psi_restrict_check(host: Graph, sub_vertices, a) -> bool:
     only shrink its neighborhood, so this check must come out true; callers
     use it to validate that implication on concrete instances.
     """
-    sub = host.check_vertices(sub_vertices)
-    a = host.check_vertices(a)
-    if not a <= sub:
+    sub = host.check_vertices_mask(sub_vertices)[1]
+    a = host.check_vertices_mask(a)[1]
+    if a & ~sub:
         raise InvalidVertexError("a-set must lie inside the induced vertex set")
-    order = sorted(sub)
-    remap = {old: new for new, old in enumerate(order)}
-    return stable_core.is_local_max_stable(induced_subgraph(host, sub),
-                                           frozenset(remap[v] for v in a))
+    # the induced subgraph keeps every edge inside sub, so N[a] there is N[a] & sub
+    return stable_core.stable_mask(host, a) and stable_core._maximum_within(
+        host._adj, a, closed_mask_of(host._adj, a) & sub, None)

@@ -266,21 +266,25 @@ def enumerate_omega(g: Graph, cap: int | None = None) -> list:
     return canonical_sets(oracle.omega_masks())
 
 
+def _maximum_within(adj: list, mask: int, closed: int, cap: int | None) -> bool:
+    """True iff the stable set ``mask`` attains alpha on the subgraph induced on
+    ``closed``, which holds it: by the peel when it consumes ``closed``, else by
+    exhaustive search refusing more than ``cap`` vertices."""
+    taken, _, leftover = leaf_peel(adj, closed)
+    if not leftover:
+        return taken.bit_count() == mask.bit_count()
+    return _alpha_branch_bound(adj, closed, cap).bit_count() == mask.bit_count()
+
+
 def in_psi_mask(g: Graph, mask: int, cap: int | None = None) -> bool:
     """Family membership of a validated vertex bitmask, checked directly.
 
     True iff the set is stable and attains alpha on the subgraph induced by
-    its closed neighborhood. The empty set qualifies. The neighborhood is
-    peeled first, which is exact whenever the peel consumes it; ``cap``
-    bounds the exhaustive search used when the peel leaves a cyclic core.
+    its closed neighborhood (``_maximum_within``). The empty set qualifies.
     """
     if not stable_mask(g, mask):
         return False
-    closed = closed_mask_of(g._adj, mask)
-    taken, _, leftover = leaf_peel(g._adj, closed)
-    if not leftover:
-        return taken.bit_count() == mask.bit_count()
-    return _alpha_branch_bound(g._adj, closed, cap).bit_count() == mask.bit_count()
+    return _maximum_within(g._adj, mask, closed_mask_of(g._adj, mask), cap)
 
 
 def is_local_max_stable(g: Graph, s, cap: int | None = None) -> bool:

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from lmss import (
     FamilySpec,
@@ -17,9 +18,16 @@ from lmss import (
     psi_restrict_check,
 )
 from lmss import perfect_embedding
-from lmss.graph_core import mask_of
+from lmss.graph_core import bits_of, mask_of, set_of
 from lmss.perfect_embedding import fresh_partners
-from conftest import labels_to_set, naive_alpha, path
+from conftest import (
+    forests,
+    graphs,
+    labels_to_set,
+    naive_alpha,
+    naive_is_local_max_stable,
+    path,
+)
 
 
 def two_branch_tree() -> Graph:
@@ -145,6 +153,30 @@ class TestPsiRestrictCheck:
 
     def test_pendant_singleton(self, p6):
         assert psi_restrict_check(p6, {0, 1}, {0})
+
+    def test_restriction_can_drop_membership(self):
+        # {b} is no member of P3 = a-b-c (alpha(N[b]) = 2), but is one of a-b
+        p3 = path(3)
+        b = labels_to_set(p3, "b")
+        assert not psi_restrict_check(p3, labels_to_set(p3, "a", "b", "c"), b)
+        assert psi_restrict_check(p3, labels_to_set(p3, "a", "b"), b)
+
+    @given(st.one_of(forests(max_n=12), graphs(max_n=10)).flatmap(
+        lambda g: st.tuples(st.just(g), st.integers(0, g.full_mask()))))
+    def test_matches_naive_membership_in_the_induced_subgraph(self, drawn):
+        # every a inside sub, on forests and on graphs with cycles (the
+        # branch-and-bound route)
+        g, sub_mask = drawn
+        sub = sorted(bits_of(sub_mask))
+        inner = induced_subgraph(g, sub)
+        a_mask = sub_mask
+        while True:
+            a = set_of(a_mask)
+            assert psi_restrict_check(g, sub, a) == naive_is_local_max_stable(
+                inner, {sub.index(v) for v in a})
+            if not a_mask:
+                break
+            a_mask = (a_mask - 1) & sub_mask
 
     def test_a_must_lie_in_sub(self, p6):
         with pytest.raises(InvalidVertexError):
