@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidVertexError, SelfLoopError
@@ -140,14 +141,18 @@ class Graph:
             bad = next(lbl for lbl in labels if not lbl or _LABEL_BREAK.search(lbl))
             raise ValueError(f"vertex label {bad!r} is empty or holds whitespace or '#'")
         n = len(labels)
-        index = {}
+        positions = {}
         for i, lbl in enumerate(labels):
-            if lbl in index:
+            if lbl in positions:
                 raise ValueError(f"duplicate vertex label {lbl!r}")
-            index[lbl] = i
+            positions[lbl] = i
         adj = [0] * n
         seen = set()
         for u, v in edges:
+            try:  # numpy integers become ints; floats, strings and None are refused
+                u, v = index(u), index(v)
+            except TypeError:
+                raise InvalidVertexError(f"edge ({u!r}, {v!r}) has a non-index endpoint") from None
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidVertexError(f"edge ({u}, {v}) out of range 0..{n - 1}")
             if u == v:
@@ -161,7 +166,7 @@ class Graph:
         self.labels = labels
         self.edges = tuple(sorted(seen))
         self.vertex_count = n
-        self._index = index
+        self._index = positions
         self._adj = adj
         self._forest = None
         self._peel = None
@@ -189,14 +194,23 @@ class Graph:
         except KeyError:
             raise InvalidVertexError(f"unknown label {label!r}") from None
 
-    def adjacency_mask(self, v: int) -> int:
-        """Open neighborhood of ``v`` as a bitmask; ``v`` must lie in 0..n-1."""
+    def _vertex(self, v) -> int:
+        """``v`` as an int in 0..n-1; anything else is refused."""
+        try:
+            v = index(v)  # a numpy integer becomes the equal int
+        except TypeError:
+            raise InvalidVertexError(f"vertex {v!r} is not an index") from None
         if not 0 <= v < self.vertex_count:  # _adj[-1] would read another vertex
             raise InvalidVertexError(f"vertex {v!r} out of range 0..{self.vertex_count - 1}")
-        return self._adj[v]
+        return v
+
+    def adjacency_mask(self, v: int) -> int:
+        """Open neighborhood of ``v`` as a bitmask; ``v`` must lie in 0..n-1."""
+        return self._adj[self._vertex(v)]
 
     def closed_mask(self, v: int) -> int:
-        return self.adjacency_mask(v) | (1 << v)
+        v = self._vertex(v)
+        return self._adj[v] | (1 << v)
 
     def degree(self, v: int) -> int:
         return self.adjacency_mask(v).bit_count()
@@ -205,7 +219,7 @@ class Graph:
         return list(bits_of(self.adjacency_mask(v)))
 
     def has_edge(self, u: int, v: int) -> bool:
-        self.adjacency_mask(v)  # refuses v before 1 << v can allocate
+        v = self._vertex(v)  # refuses v before 1 << v can allocate
         return bool(self.adjacency_mask(u) & (1 << v))
 
     def full_mask(self) -> int:
@@ -224,8 +238,14 @@ class Graph:
             for v in s:
                 # a v past the range sets bit n only, not a mask as wide as v
                 m |= 1 << (v if v < n else n)
-        except (TypeError, ValueError):
-            raise InvalidVertexError(f"non-index member in {s!r}") from None
+        except (TypeError, ValueError, OverflowError):
+            m = None
+        if type(m) is not int:  # numpy integers shift as int64; redo them as ints
+            try:
+                s = frozenset(map(index, s))
+                m = mask_of(v if v < n else n for v in s)
+            except (TypeError, ValueError):
+                raise InvalidVertexError(f"non-index member in {s!r}") from None
         if m >> n:
             raise InvalidVertexError(f"vertex set {sorted(s)} exceeds range 0..{n - 1}")
         return s, m

@@ -3,14 +3,18 @@ import tracemalloc
 import pytest
 
 from lmss import (
+    FamilySpec,
     Graph,
     InvalidVertexError,
     SelfLoopError,
     SplitMix64,
+    alpha,
     closed_neighborhood,
     decompose,
+    generate,
     induced_subgraph,
     is_local_max_stable,
+    is_stable,
     pendant_vertices,
 )
 from conftest import labels_to_set, naive_closed_neighborhood, path
@@ -95,6 +99,69 @@ class TestGraphConstruction:
         a = Graph(["a", "b"], [(0, 1)])
         b = Graph(["a", "b"], [(1, 0)])
         assert a == b and hash(a) == hash(b)
+
+
+def index_answers(g: Graph, t) -> tuple:
+    """Every index-taking query on ``g``, with each index passed as ``t(v)``."""
+    n = g.vertex_count
+    sets = [{t(v % n) for v in s} for s in ({69, 70}, {69, 71}, {0, -1}, {0, 2, 4}, set())]
+    h = Graph(g.labels, [(t(u), t(v)) for u, v in g.edges])
+    return ([is_stable(g, s) for s in sets],
+            [is_local_max_stable(g, s) for s in sets],
+            [closed_neighborhood(g, s) for s in sets],
+            [g.has_edge(t(u), t(v)) for u in range(n) for v in (u + 1, u + 2) if v < n],
+            [g.closed_mask(t(v)) for v in range(n)],
+            [g.degree(t(v)) for v in range(n)],
+            h == g, h.edges, alpha(h))
+
+
+class TestIndexTypes:
+    """A numpy integer indexes a vertex exactly as the equal int does;
+    floats, strings and None are refused."""
+
+    @pytest.mark.parametrize("kind", ["int64", "int32"])
+    def test_numpy_integers_answer_like_ints(self, kind):
+        np = pytest.importorskip("numpy")
+        as_np = getattr(np, kind)
+        for g in (path(40), path(100), generate(FamilySpec("cycle", 20)),
+                  generate(FamilySpec("random_forest", 100, seed=3))):
+            ints = index_answers(g, int)
+            assert index_answers(g, as_np) == ints
+            # the answers hold ints, never numpy scalars
+            assert all(type(v) is int for s in ints[2] for v in s)
+            assert all(type(v) is int for e in index_answers(g, as_np)[7] for v in e)
+
+    def test_numpy_adjacency_across_the_int64_width(self):
+        np = pytest.importorskip("numpy")
+        g = path(100)
+        assert not is_stable(g, {np.int64(69), np.int64(70)})
+        assert is_stable(g, {np.int64(69), 71, np.int64(99)})
+        assert g.has_edge(69, np.int64(70))
+        assert g.closed_mask(np.int64(70)) == 0b111 << 69
+
+    @pytest.mark.parametrize("kind", ["int64", "int32"])
+    def test_graph_from_a_numpy_edge_array(self, kind):
+        np = pytest.importorskip("numpy")
+        for g in (path(10), generate(FamilySpec("random_forest", 100, seed=3)),
+                  generate(FamilySpec("fig1"))):
+            h = Graph(g.labels, np.array(g.edges, dtype=kind).reshape(-1, 2))
+            assert h == g and hash(h) == hash(g)
+            assert h.is_forest == g.is_forest and h.peel == g.peel
+            assert alpha(h) == alpha(g)
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, 1.5, "0", None])
+    def test_non_integer_indices_refused(self, bad):
+        g = path(4)
+        with pytest.raises(InvalidVertexError):
+            Graph(["a", "b"], [(bad, 1)])
+        with pytest.raises(InvalidVertexError):
+            Graph(["a", "b"], [(0, bad)])
+        for call in (g.adjacency_mask, g.closed_mask, g.degree, g.neighbors,
+                     lambda v: g.has_edge(v, 1), lambda v: g.has_edge(1, v),
+                     lambda v: is_stable(g, {3, v}), lambda v: closed_neighborhood(g, {v}),
+                     lambda v: is_local_max_stable(g, {v})):
+            with pytest.raises(InvalidVertexError):
+                call(bad)
 
 
 class TestClosedNeighborhood:
