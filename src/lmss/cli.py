@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from contextlib import contextmanager
 
 from . import graph_families, greedoid_engine, perfect_embedding, stable_core, tree_matching
 from .cli_io import GraphDocument, emit, labels_of, parse_graph, to_jsonable
@@ -153,71 +154,91 @@ def _criteria(full: bool):
     ``(name, first failure or None, detail)``.
 
     Every labeled tree is visited once, with one subset table, and that
-    visit feeds criteria 1, 5, 6, 7 and 8. A failure is recorded under its
-    criterion and the run goes on, so every criterion is reported.
-    tests/test_acceptance.py is the independent gate at full scale.
+    visit feeds criteria 1, 5, 6, 7 and 8. A failure, a raised LmssError
+    included, is recorded under its criterion and the run goes on, so every
+    criterion is reported. tests/test_acceptance.py is the independent gate
+    at full scale.
     """
     max_tree = 8 if full else 6  # labeled trees on 2..max_tree vertices
     forests = 1000 if full else 100  # seeded random forests, criteria 1 and 7
     graphs, max_graph = (500, 12) if full else (60, 10)  # random graphs, criterion 4
     failed = {}  # criterion number -> its first failure
     fail = failed.setdefault
+
+    @contextmanager
+    def guard(k, where):
+        try:
+            yield
+        except LmssError as exc:
+            fail(k, f"{type(exc).__name__} {where}: {exc}")
+
     trees = chains = pairs = 0
     for n in range(2, max_tree + 1):
         where = f"on a labeled tree with {n} vertices"
         for t in graph_families.enumerate_labeled_trees(n):
             oracle = stable_core.SubsetOracle(t)
-            r = greedoid_engine.verify_greedoid(t, oracle=oracle)
-            if not (r.accessibility_ok and r.exchange_ok):
-                fail(1, f"violation {where}")
+            with guard(1, where):
+                r = greedoid_engine.verify_greedoid(t, oracle=oracle)
+                if not (r.accessibility_ok and r.exchange_ok):
+                    fail(1, f"violation {where}")
             by_size = {}
             for m in oracle.psi_masks():
                 s = set_of(m)
                 by_size.setdefault(len(s), []).append(s)
-                for strat in ("greedy_peel", "constructive"):
-                    cert = greedoid_engine.chain_decompose(t, s, strat, oracle=oracle)
-                    if (cert.chain[-1] if cert.chain else frozenset()) != s \
-                            or not greedoid_engine.chain_is_valid(cert, oracle=oracle):
-                        fail(5, f"invalid {strat} chain {where}")
-                    chains += 1
-            for k, ys in by_size.items():
-                for x in by_size.get(k + 1, ()):
-                    for y in ys:
-                        w = greedoid_engine.exchange_witness(t, y, x, oracle=oracle)
-                        if w.witness is None:
-                            fail(6, f"missing witness {where}")
-                        pairs += 1
-            if not _structure_ok(t):
-                fail(7, f"matching or embedding fails {where}")
-            if stable_core.alpha(t).size != oracle.alpha():
-                fail(8, f"alpha mismatch {where}")
+            with guard(5, where):
+                for ss in by_size.values():
+                    for s in ss:
+                        for strat in ("greedy_peel", "constructive"):
+                            cert = greedoid_engine.chain_decompose(t, s, strat, oracle=oracle)
+                            if (cert.chain[-1] if cert.chain else frozenset()) != s \
+                                    or not greedoid_engine.chain_is_valid(cert, oracle=oracle):
+                                fail(5, f"invalid {strat} chain {where}")
+                            chains += 1
+            with guard(6, where):
+                for k, ys in by_size.items():
+                    for x in by_size.get(k + 1, ()):
+                        for y in ys:
+                            w = greedoid_engine.exchange_witness(t, y, x, oracle=oracle)
+                            if w.witness is None:
+                                fail(6, f"missing witness {where}")
+                            pairs += 1
+            with guard(7, where):
+                if not _structure_ok(t):
+                    fail(7, f"matching or embedding fails {where}")
+            with guard(8, where):
+                if stable_core.alpha(t).size != oracle.alpha():
+                    fail(8, f"alpha mismatch {where}")
             trees += 1
     for g in _forest_corpus(forests, range(9, 15 if full else 13), seed0=1):
-        r = greedoid_engine.verify_greedoid(g)
-        if not (r.accessibility_ok and r.exchange_ok):
-            fail(1, "violation on a random forest")
+        with guard(1, "on a random forest"):
+            r = greedoid_engine.verify_greedoid(g)
+            if not (r.accessibility_ok and r.exchange_ok):
+                fail(1, "violation on a random forest")
     yield "greedoid on forests", failed.get(1), f"{trees + forests} forests, zero violations"
 
     for n in range(4, 9):
         g = generate(FamilySpec("cycle", n))
-        if not set(stable_core.enumerate_omega(g)) <= set(
-                greedoid_engine.verify_greedoid(g).accessibility_violations):
-            fail(2, f"C{n}: some maximum stable set is not reported")
+        with guard(2, f"on C{n}"):
+            if not set(stable_core.enumerate_omega(g)) <= set(
+                    greedoid_engine.verify_greedoid(g).accessibility_violations):
+                fail(2, f"C{n}: some maximum stable set is not reported")
     g = generate(FamilySpec("fig1"))
-    if frozenset(g.index_of(x) for x in "acf") not in \
-            greedoid_engine.verify_greedoid(g).accessibility_violations:
-        fail(2, "fig1: {a,c,f} not reported")
+    with guard(2, "on fig1"):
+        if frozenset(g.index_of(x) for x in "acf") not in \
+                greedoid_engine.verify_greedoid(g).accessibility_violations:
+            fail(2, "fig1: {a,c,f} not reported")
     yield ("accessibility counterexamples", failed.get(2),
            "cycles C4..C8 and fig1 behave as documented")
 
     for cls, n in [("small", n) for n in (6, 8, 10)] + [("large", n) for n in (8, 10, 12)]:
         g = generate(FamilySpec("fig7", n))
         s1, s2 = graph_families.fig7_exchange_pair(n, cls)
-        if not (stable_core.is_local_max_stable(g, s1)
-                and stable_core.is_local_max_stable(g, s2)):
-            fail(3, f"fig7({n}) {cls}: pair not in the family")
-        elif greedoid_engine.exchange_witness(g, s1, s2).witness is not None:
-            fail(3, f"fig7({n}) {cls}: unexpected witness")
+        with guard(3, f"on fig7({n}) {cls}"):
+            if not (stable_core.is_local_max_stable(g, s1)
+                    and stable_core.is_local_max_stable(g, s2)):
+                fail(3, f"fig7({n}) {cls}: pair not in the family")
+            elif greedoid_engine.exchange_witness(g, s1, s2).witness is not None:
+                fail(3, f"fig7({n}) {cls}: unexpected witness")
     yield ("exchange counterexamples", failed.get(3),
            "documented pairs are in the family and admit no witness")
 
@@ -229,18 +250,19 @@ def _criteria(full: bool):
         g = Graph([f"v{k + 1}" for k in range(n)],
                   [(u, v) for u in range(n) for v in range(u + 1, n)
                    if rng.below(100) < percent])
-        oracle = stable_core.SubsetOracle(g)
-        psi = oracle.psi_masks()
-        if len(psi) > 200:
-            continue
-        omega = stable_core.canonical_sets(oracle.omega_masks())
-        for pm in psi:
-            s1 = set_of(pm)
-            for s2 in omega:
-                r = greedoid_engine.nt_extend(g, s1, s2, oracle=oracle)
-                if len(r) != oracle.alpha() or not stable_core.is_stable(g, r):
-                    fail(4, "extension left the maximum family")
-                extensions += 1
+        with guard(4, "on a random graph"):
+            oracle = stable_core.SubsetOracle(g)
+            psi = oracle.psi_masks()
+            if len(psi) > 200:
+                continue
+            omega = stable_core.canonical_sets(oracle.omega_masks())
+            for pm in psi:
+                s1 = set_of(pm)
+                for s2 in omega:
+                    r = greedoid_engine.nt_extend(g, s1, s2, oracle=oracle)
+                    if len(r) != oracle.alpha() or not stable_core.is_stable(g, r):
+                        fail(4, "extension left the maximum family")
+                    extensions += 1
     yield ("maximum-extension on general graphs", failed.get(4),
            f"{extensions} extensions all maximum")
 
@@ -250,26 +272,29 @@ def _criteria(full: bool):
            f"{pairs} pairs all admitted witnesses")
 
     for g in _forest_corpus(forests, range(2, 21 if full else 15), seed0=5000):
-        if not _structure_ok(g):
-            fail(7, "matching or embedding fails on a random forest")
+        with guard(7, "on a random forest"):
+            if not _structure_ok(g):
+                fail(7, "matching or embedding fails on a random forest")
     yield ("matching and embedding structure", failed.get(7),
            f"{trees + forests} forests: identity, cover, and embeddings hold")
 
     for family, members in (("cycle", [[], [0, 2], [1, 3]]),
                             ("path", [[], [0], [3], [0, 2], [0, 3], [1, 3]])):
-        if [sorted(s) for s in stable_core.enumerate_psi(
-                generate(FamilySpec(family, 4))).members] != members:
-            fail(8, f"family of the 4-{family} is off")
+        with guard(8, f"on the 4-{family}"):
+            if [sorted(s) for s in stable_core.enumerate_psi(
+                    generate(FamilySpec(family, 4))).members] != members:
+                fail(8, f"family of the 4-{family} is off")
     yield ("oracle equivalence", failed.get(8),
            f"pendant-greedy alpha matches exhaustive alpha on {trees} trees; "
            f"known families exact")
 
     spec = FamilySpec("random_tree", n=9, seed=42)
     g = generate(FamilySpec("cycle", 4))
-    runs = [(emit(generate(spec), "json"),
-             emit(greedoid_engine.verify_greedoid(g), "json", graph=g)) for _ in range(2)]
-    if runs[0] != runs[1]:
-        fail(9, "repeated runs differ")
+    with guard(9, "on repeated runs"):
+        runs = [(emit(generate(spec), "json"),
+                 emit(greedoid_engine.verify_greedoid(g), "json", graph=g)) for _ in range(2)]
+        if runs[0] != runs[1]:
+            fail(9, "repeated runs differ")
     yield ("determinism", failed.get(9),
            "repeated generation and verification are byte-identical")
 
@@ -291,48 +316,48 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lmss",
         description="Local maximum stable sets, their forest greedoid, and "
                     "the associated matching and embedding operations.")
-    formatted = argparse.ArgumentParser(add_help=False)
-    formatted.add_argument("--format", choices=("text", "json", "dot"), default="text",
-                           help="output format (default: text)")
-    common = argparse.ArgumentParser(add_help=False, parents=[formatted])
-    common.add_argument("--cap", type=int, default=None,
-                        help="override the brute-force/enumeration vertex caps")
     sub = parser.add_subparsers(dest="command", required=True)
+    drawn = ("text", "json", "dot")  # only graphs and stable sets have a dot drawing
 
-    def graph_cmd(name, handler, help_, extra=None):
-        p = sub.add_parser(name, parents=[common], help=help_)
+    def command(name, help_, formats=("text", "json"), cap=True):
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("--format", choices=formats, default="text",
+                       help="output format (default: text)")
+        if cap:
+            p.add_argument("--cap", type=int, default=None,
+                           help="override the brute-force/enumeration vertex caps")
+        return p
+
+    def graph_cmd(name, handler, help_, **options):
+        p = command(name, help_, **options)
         p.add_argument("graph", nargs="?", default="-",
                        help="graph file in edge-list format ('-' for stdin)")
-        if extra:
-            extra(p)
         p.set_defaults(func=_run_graph_command, handler=handler)
+        return p
 
-    graph_cmd("alpha", cmd_alpha, "stability number with a witness set")
+    graph_cmd("alpha", cmd_alpha, "stability number with a witness set", formats=drawn)
     graph_cmd("omega", cmd_omega, "every maximum stable set")
-    graph_cmd("psi", cmd_psi, "enumerate the local-maximum family, or test one set",
-              lambda p: p.add_argument("--set", default=None,
-                                       help="comma-separated labels to test"))
-    graph_cmd("matching", cmd_matching, "leaf-greedy maximum matching of a forest",
-              lambda p: p.add_argument("--internal-cover", action="store_true",
-                                       help="cover every internal vertex"))
-    graph_cmd("ke-check", cmd_ke_check, "check alpha + mu = order on a forest")
-    graph_cmd("embed", cmd_embed, "embed a forest into a perfect forest",
-              lambda p: p.add_argument("--pendant-only", action="store_true",
-                                       help="attach new edges at pendant vertices only"))
-    graph_cmd("chain", cmd_chain, "nested family chain ending at --set",
-              lambda p: (p.add_argument("--set", required=True),
-                         p.add_argument("--strategy", default="greedy",
-                                        choices=("greedy", "greedy_peel", "constructive"))))
-    graph_cmd("nt-extend", cmd_nt_extend, "extend --s1 to a maximum set inside --s2",
-              lambda p: (p.add_argument("--s1", required=True),
-                         p.add_argument("--s2", required=True)))
-    graph_cmd("exchange", cmd_exchange, "exchange witness between --s1 and --s2",
-              lambda p: (p.add_argument("--s1", required=True),
-                         p.add_argument("--s2", required=True)))
+    p = graph_cmd("psi", cmd_psi, "enumerate the local-maximum family, or test one set")
+    p.add_argument("--set", default=None, help="comma-separated labels to test")
+    p = graph_cmd("matching", cmd_matching, "leaf-greedy maximum matching of a forest",
+                  cap=False)
+    p.add_argument("--internal-cover", action="store_true", help="cover every internal vertex")
+    graph_cmd("ke-check", cmd_ke_check, "check alpha + mu = order on a forest", cap=False)
+    p = graph_cmd("embed", cmd_embed, "embed a forest into a perfect forest", cap=False)
+    p.add_argument("--pendant-only", action="store_true",
+                   help="attach new edges at pendant vertices only")
+    p = graph_cmd("chain", cmd_chain, "nested family chain ending at --set")
+    p.add_argument("--set", required=True)
+    p.add_argument("--strategy", default="greedy",
+                   choices=("greedy", "greedy_peel", "constructive"))
+    for p in (graph_cmd("nt-extend", cmd_nt_extend, "extend --s1 to a maximum set inside --s2"),
+              graph_cmd("exchange", cmd_exchange, "exchange witness between --s1 and --s2")):
+        p.add_argument("--s1", required=True)
+        p.add_argument("--s2", required=True)
     graph_cmd("verify-greedoid", cmd_verify_greedoid,
               "check both greedoid axioms on the full family")
 
-    gen = sub.add_parser("gen", parents=[formatted], help="generate a named graph")
+    gen = command("gen", "generate a named graph", formats=drawn, cap=False)
     gen.add_argument("--family", required=True, choices=graph_families.FAMILIES)
     gen.add_argument("-n", type=int, default=None)
     gen.add_argument("--seed", type=int, default=None)

@@ -4,10 +4,11 @@ import os
 import subprocess
 import sys
 import warnings
+from itertools import count
 
 import pytest
 
-from lmss import greedoid_engine
+from lmss import AccessibilityFailure, InternalError, greedoid_engine
 from lmss.cli import main
 
 FIG1_TEXT = """# family: fig1
@@ -253,14 +254,38 @@ class TestErrorPaths:
         code, _, err = run(capsys, monkeypatch, ["gen", "--family", "cycle", "-n", "3"])
         assert code == 2 and "cycle" in err
 
-    @pytest.mark.parametrize("argv", [["selftest", "--cap", "3"],
-                                      ["selftest", "--format", "json"],
-                                      ["gen", "--family", "fig1", "--cap", "3"]])
-    def test_option_the_command_ignores_exit_2(self, capsys, argv):
+    @pytest.mark.parametrize("argv", [
+        ["selftest", "--cap", "3"],
+        ["selftest", "--format", "json"],
+        ["gen", "--family", "fig1", "--cap", "3"],
+        # --cap where the handler never reads it
+        *([cmd, "GRAPH", "--cap", "3"] for cmd in ("matching", "ke-check", "embed")),
+        # dot where emit has no graph drawing for the record
+        *([*cmd, "GRAPH", "--format", "dot"] for cmd in (
+            ["omega"], ["psi"], ["matching"], ["ke-check"], ["embed"],
+            ["chain", "--set", "a,c,f"], ["nt-extend", "--s1", "f", "--s2", "a,c,f"],
+            ["exchange", "--s1", "f", "--s2", "a,c"], ["verify-greedoid"])),
+        # refused at parse time, before the (missing) graph file is opened
+        ["matching", "missing.graph", "--cap", "3"],
+    ])
+    def test_option_the_command_ignores_exit_2(self, capsys, fig1_file, argv):
+        argv = [fig1_file if a == "GRAPH" else a for a in argv]
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if "dot" in argv:
+            assert "argument --format: invalid choice: 'dot'" in err
+        else:
+            assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("cmd", ["matching", "ke-check", "embed"])
+    def test_help_lists_only_the_options_read(self, capsys, cmd):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--cap" not in out and "dot" not in out and "{text,json}" in out
 
 
 class TestSelftest:
@@ -278,6 +303,32 @@ class TestSelftest:
         # every other criterion is still run in full and reported unchanged
         assert len(lines) == 9
         assert lines[:5] + lines[6:] == passing[:5] + passing[6:]
+
+    @pytest.mark.parametrize("name, criterion, error", [
+        ("exchange_witness", 6, InternalError("exchange witness missing on a forest")),
+        ("chain_decompose", 5, AccessibilityFailure({0, 2}))])
+    def test_raised_failure_reported_under_its_criterion(self, capsys, monkeypatch,
+                                                         name, criterion, error):
+        _, passing, _ = run(capsys, monkeypatch, ["selftest"])
+        real, calls = getattr(greedoid_engine, name), count(1)
+
+        def raising_on_the_100th_call(*args, **kwargs):
+            if next(calls) == 100:
+                raise error
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(greedoid_engine, name, raising_on_the_100th_call)
+        code, out, err = run(capsys, monkeypatch, ["selftest"])
+        assert code == 1 and err == ""
+        lines, passing = out.splitlines(), passing.splitlines()
+        assert len(lines) == 9
+        line = lines[criterion - 1]
+        assert line.startswith(f"criterion {criterion} (")
+        assert f": FAIL - {type(error).__name__} on a labeled tree with " in line
+        assert line.endswith(f" vertices: {error}")
+        # every other criterion is still run in full and reported unchanged
+        assert lines[:criterion - 1] + lines[criterion:] == \
+            passing[:criterion - 1] + passing[criterion:]
 
 
 class TestSubprocessContract:
