@@ -181,19 +181,18 @@ def _criteria(full: bool):
                 r = greedoid_engine.verify_greedoid(t, oracle=oracle)
                 if not (r.accessibility_ok and r.exchange_ok):
                     fail(1, f"violation {where}")
+            members = [set_of(m) for m in oracle.psi_masks()]
             by_size = {}
-            for m in oracle.psi_masks():
-                s = set_of(m)
+            for s in members:
                 by_size.setdefault(len(s), []).append(s)
             with guard(5, where):
-                for ss in by_size.values():
-                    for s in ss:
-                        for strat in ("greedy_peel", "constructive"):
-                            cert = greedoid_engine.chain_decompose(t, s, strat, oracle=oracle)
-                            if (cert.chain[-1] if cert.chain else frozenset()) != s \
-                                    or not greedoid_engine.chain_is_valid(cert, oracle=oracle):
-                                fail(5, f"invalid {strat} chain {where}")
-                            chains += 1
+                for s in members:
+                    for strat in ("greedy_peel", "constructive"):
+                        cert = greedoid_engine.chain_decompose(t, s, strat, oracle=oracle)
+                        if (cert.chain[-1] if cert.chain else frozenset()) != s \
+                                or not greedoid_engine.chain_is_valid(cert, oracle=oracle):
+                            fail(5, f"invalid {strat} chain {where}")
+                        chains += 1
             with guard(6, where):
                 for k, ys in by_size.items():
                     for x in by_size.get(k + 1, ()):
