@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import repeat
 from operator import index
 from typing import Iterable, Iterator, Sequence
 
@@ -243,7 +244,7 @@ class Graph:
         if type(m) is not int:  # numpy integers shift as int64; redo them as ints
             try:
                 s = frozenset(map(index, s))
-                m = mask_of(v if v < n else n for v in s)
+                m = mask_of(map(min, s, repeat(n)))  # no closure over n: it stays a fast local
             except (TypeError, ValueError):
                 raise InvalidVertexError(f"non-index member in {s!r}") from None
         if m >> n:

@@ -8,6 +8,7 @@ from conftest import (
     cycle,
     forests,
     graphs,
+    naive_adjacency,
     naive_alpha_forest,
     naive_is_local_max_stable,
     naive_mask_matching_cover,
@@ -66,7 +67,7 @@ def test_forest_witnesses_match_quadratic_scans(g, universe_bits):
         covered = 0
         for x, y in leaf_peel(g._adj, u)[1]:
             covered |= (1 << x) | (1 << y)
-        assert covered == naive_mask_matching_cover(g._adj, u)
+        assert covered == naive_mask_matching_cover(naive_adjacency(g), u)
 
 
 @given(graphs_with_probe())
