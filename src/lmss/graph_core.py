@@ -138,7 +138,12 @@ class Graph:
 
     def __init__(self, labels: Sequence[str], edges: Iterable[tuple[int, int]] = ()):
         labels = tuple(labels)
-        if "" in labels or _LABEL_BREAK.search("".join(labels)):
+        try:
+            joined = "".join(labels)
+        except TypeError:
+            bad = next(lbl for lbl in labels if not isinstance(lbl, str))
+            raise ValueError(f"vertex label {bad!r} is not a string") from None
+        if "" in labels or _LABEL_BREAK.search(joined):
             bad = next(lbl for lbl in labels if not lbl or _LABEL_BREAK.search(lbl))
             raise ValueError(f"vertex label {bad!r} is empty or holds whitespace or '#'")
         n = len(labels)
@@ -247,8 +252,12 @@ class Graph:
                 m = mask_of(map(min, s, repeat(n)))  # no closure over n: it stays a fast local
             except (TypeError, ValueError):
                 raise InvalidVertexError(f"non-index member in {s!r}") from None
-        if m >> n:
-            raise InvalidVertexError(f"vertex set {sorted(s)} exceeds range 0..{n - 1}")
+        if m >> n:  # list numpy members as ints; a float past the range is no index
+            try:
+                shown = sorted(map(index, s))
+            except TypeError:
+                raise InvalidVertexError(f"non-index member in {s!r}") from None
+            raise InvalidVertexError(f"vertex set {shown} exceeds range 0..{n - 1}")
         return s, m
 
     @property

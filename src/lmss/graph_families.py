@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from operator import index
 from typing import Iterator, Optional
 
 from .errors import InvalidFamilyParameterError
@@ -65,6 +66,15 @@ class FamilySpec:
     delete_prob: float = 0.15  # random_forest edge-deletion probability
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int (a numpy integer becomes the equal int); floats,
+    strings and None are refused."""
+    try:
+        return index(value)
+    except TypeError:
+        raise InvalidFamilyParameterError(f"{what} must be an integer, not {value!r}") from None
+
+
 def _alpha_labels(n: int) -> list[str]:
     """a, b, ..., z, aa, ab, ... (spreadsheet order)."""
     out = []
@@ -84,6 +94,8 @@ def _numeric_labels(n: int) -> list[str]:
 
 def prufer_decode(n: int, seq) -> list[tuple[int, int]]:
     """Edges of the labeled tree on 0..n-1 encoded by ``seq`` (length n-2)."""
+    n = _integer(n, "n")
+    seq = [_integer(v, "sequence entry") for v in seq]
     if n < 2 or len(seq) != n - 2:
         raise InvalidFamilyParameterError(f"need n >= 2 and a length-{max(n - 2, 0)} sequence")
     if seq and not 0 <= min(seq) <= max(seq) < n:
@@ -112,6 +124,8 @@ def prufer_decode(n: int, seq) -> list[tuple[int, int]]:
 
 def prufer_encode(n: int, edges) -> tuple[int, ...]:
     """Inverse of prufer_decode on labeled trees (smallest-leaf removal)."""
+    n = _integer(n, "n")
+    edges = [(_integer(u, "edge endpoint"), _integer(v, "edge endpoint")) for u, v in edges]
     if n < 2:
         raise InvalidFamilyParameterError("need n >= 2")
     if any(not (0 <= u < n and 0 <= v < n) for u, v in edges):
@@ -187,12 +201,12 @@ def generate(spec: FamilySpec) -> Graph:
     fam = spec.family
     if fam not in FAMILIES:
         raise InvalidFamilyParameterError(f"unknown family {fam!r}")
+    n = None if spec.n is None else _integer(spec.n, "n")
     if fam in _FIXED_ORDER:
         want = _FIXED_ORDER[fam]
-        if spec.n not in (None, want):
+        if n not in (None, want):
             raise InvalidFamilyParameterError(f"{fam} has exactly {want} vertices")
         return {"fig1": _fig1, "fig2": _fig2, "fig4_tree": _fig4_tree}[fam]()
-    n = spec.n
     if n is None:
         raise InvalidFamilyParameterError(f"family {fam!r} requires n")
     if n < _MIN_ORDER[fam]:
@@ -209,7 +223,7 @@ def generate(spec: FamilySpec) -> Graph:
         return Graph(_alpha_labels(n), [(0, i) for i in range(1, n)])
     if fam == "fig7":
         return _fig7(n)
-    seed = 0 if spec.seed is None else spec.seed
+    seed = 0 if spec.seed is None else _integer(spec.seed, "seed")
     if fam == "random_tree":
         return _random_forest(n, seed, 0.0)
     if not 0.0 <= spec.delete_prob <= 1.0:
@@ -224,6 +238,7 @@ def fig7_exchange_pair(n: int, size_class: str) -> tuple[frozenset, frozenset]:
     small: sizes (1, 2), any n >= 6. large: sizes (alpha-2, alpha-1) with
     2*alpha = n, even n >= 8.
     """
+    n = _integer(n, "n")
     if size_class == "small":
         if n < 6:
             raise InvalidFamilyParameterError("small pair requires n >= 6")
@@ -240,6 +255,7 @@ def fig7_exchange_pair(n: int, size_class: str) -> tuple[frozenset, frozenset]:
 def enumerate_labeled_trees(n: int) -> Iterator[Graph]:
     """All n^(n-2) labeled trees on n vertices, in lexicographic order of
     their encoding sequences. Bounded to 2 <= n <= 8 by design."""
+    n = _integer(n, "n")
     if not 2 <= n <= 8:
         raise InvalidFamilyParameterError("tree enumeration supports 2 <= n <= 8")
     labels = tuple(f"v{i + 1}" for i in range(n))

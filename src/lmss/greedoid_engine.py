@@ -411,13 +411,16 @@ def verify_greedoid(g: Graph, cap: int | None = None,
     canonical order.
 
     The family comes from the graph's cached subset tables (an oracle
-    passed in must have been built for ``g``). The exchange scan computes
-    the extension mask of every Y (the vertices v with Y + v in the
-    family) and then tests the members one size up once per distinct
-    extension mask, not once per Y: X fails Y exactly when X misses the
-    mask, since the mask never meets Y. One test covers all of them at
-    once, as a few big-integer operations on the members packed into
-    lanes; they are listed one by one only for a mask some member misses.
+    passed in must have been built for ``g``). Both axioms are read off one
+    walk over the one-vertex steps, a size class at a time: for each member
+    X of size k + 1 and each v in X, X - v is looked up once. A nonempty X
+    with no hit fails accessibility; each hit adds v to the extension mask
+    of Y = X - v (the vertices v with Y + v in the family), held for size k
+    only. The members of size k + 1 are then tested once per distinct mask,
+    not once per Y: X fails Y exactly when X misses the mask, which never
+    meets Y, and a mask leaving at most k vertices out is skipped. One test
+    covers every X, as a few big-integer operations on the members packed
+    into lanes; they are listed one by one only for a mask some X misses.
     """
     if oracle is None:
         oracle = SubsetOracle(g, cap)
@@ -431,36 +434,30 @@ def verify_greedoid(g: Graph, cap: int | None = None,
         by_size[m.bit_count()].append(m)
 
     acc_bad = []
-    for m in members:
-        rest = m
-        ok = not m
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if flags[m ^ low]:
-                ok = True
-                break
-        if not ok:
-            acc_bad.append(m)
-
     exch_bad = []
-    full = g.full_mask()
     width = n // 8 + 1  # bytes per lane: a mask plus a free top bit
     for k in range(n):
-        ys = by_size[k]
         xs = by_size[k + 1]
+        ext_of = {}
+        for x in xs:
+            hit = False
+            rest = x
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                y = x ^ low
+                if flags[y]:
+                    ext_of[y] = ext_of.get(y, 0) | low
+                    hit = True
+            if not hit:
+                acc_bad.append(x)
+        ys = by_size[k]
         if not ys or not xs:
             continue
         ys_by_ext = {}
         for y in ys:
-            ext = 0
-            rest = full & ~y
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if flags[y | low]:
-                    ext |= low
-            ys_by_ext.setdefault(ext, []).append(y)
+            ys_by_ext.setdefault(ext_of.get(y, 0), []).append(y)
+        ext_of.clear()  # held beside the lanes it would set the memory peak
         # every x in one integer, a lane each; x misses ext iff its lane of
         # lanes & ext is 0, iff adding 0x7f..f leaves the lane's top bit clear
         lanes = int.from_bytes(b"".join([x.to_bytes(width, "little") for x in xs]), "little")
@@ -468,7 +465,7 @@ def verify_greedoid(g: Graph, cap: int | None = None,
         top = ones << (8 * width - 1)
         fill = top - ones
         for ext, group in ys_by_ext.items():
-            if ~((lanes & ext * ones) + fill) & top:
+            if n - ext.bit_count() > k and ~((lanes & ext * ones) + fill) & top:
                 misses = [x for x in xs if not x & ext]
                 exch_bad.extend((y, x) for y in group for x in misses)
 

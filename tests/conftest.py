@@ -472,6 +472,22 @@ def graphs(draw, max_n=12):
     return Graph([f"v{i}" for i in range(n)], draw(st.sets(st.sampled_from(pairs))))
 
 
+@st.composite
+def cyclic_cores(draw, max_cycle=12, max_pendants=3):
+    """A cycle on 4..``max_cycle`` vertices with random chords and up to
+    ``max_pendants`` vertices hung on it as pendant trees, indices shuffled:
+    the lowest-pendant peel of a closed neighborhood holding the cycle
+    mostly stops at a cyclic core instead of consuming it."""
+    c = draw(st.integers(4, max_cycle))
+    edges = [(i, (i + 1) % c) for i in range(c)]
+    chords = [(u, v) for u in range(c) for v in range(u + 2, c) if v - u != c - 1]
+    edges += draw(st.sets(st.sampled_from(chords), max_size=c))
+    n = c + draw(st.integers(0, max_pendants))
+    edges += [(i, draw(st.integers(0, i - 1))) for i in range(c, n)]
+    order = draw(st.permutations(range(n)))
+    return Graph([f"v{i}" for i in range(n)], [(order[u], order[v]) for u, v in edges])
+
+
 # -- fixture graphs ----------------------------------------------------------
 
 

@@ -149,6 +149,16 @@ class TestIndexTypes:
             assert h.is_forest == g.is_forest and h.peel == g.peel
             assert alpha(h) == alpha(g)
 
+    def test_numpy_member_past_the_range_is_listed_as_an_int(self):
+        np = pytest.importorskip("numpy")
+        g = generate(FamilySpec("path", 100))
+        for s in ({200}, {np.int64(200)}, {np.int32(200), 3}):
+            with pytest.raises(InvalidVertexError) as exc:
+                is_stable(g, s)
+            assert str(exc.value) == f"vertex set {sorted(map(int, s))} exceeds range 0..99"
+        with pytest.raises(InvalidVertexError, match="non-index member"):
+            is_stable(g, {200.5})
+
     @pytest.mark.parametrize("bad", [0.0, 1.0, 1.5, "0", None])
     def test_non_integer_indices_refused(self, bad):
         g = path(4)

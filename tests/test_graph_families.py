@@ -61,6 +61,33 @@ class TestBasicFamilies:
         assert str(exc.value) == f"{family} requires n >= {k}"
 
 
+    @pytest.mark.parametrize("call, error", [
+        (lambda: generate(FamilySpec("path", 3.0)), InvalidFamilyParameterError),
+        (lambda: generate(FamilySpec("fig1", "6")), InvalidFamilyParameterError),
+        (lambda: generate(FamilySpec("random_tree", 5, seed=1.5)), InvalidFamilyParameterError),
+        (lambda: prufer_decode(4, [0.0, 1]), InvalidFamilyParameterError),
+        (lambda: prufer_decode(4.0, [0, 1]), InvalidFamilyParameterError),
+        (lambda: prufer_encode(3, [(0.0, 1), (1, 2)]), InvalidFamilyParameterError),
+        (lambda: list(enumerate_labeled_trees(3.0)), InvalidFamilyParameterError),
+        (lambda: fig7_exchange_pair("8", "small"), InvalidFamilyParameterError),
+        (lambda: Graph([1, 2]), ValueError),
+    ], ids=["generate n", "fixed-order n", "generate seed", "decode entry", "decode n",
+            "encode endpoint", "enumerate n", "fig7 pair n", "graph label"])
+    def test_non_integer_parameters_refused(self, call, error):
+        with pytest.raises(error, match="must be an integer|not a string"):
+            call()
+
+    def test_numpy_integer_parameters_act_as_ints(self):
+        np = pytest.importorskip("numpy")
+        i = np.int64
+        assert generate(FamilySpec("random_forest", i(30), seed=i(4))) == generate(
+            FamilySpec("random_forest", 30, seed=4))
+        assert prufer_decode(i(5), np.array([3, 0, 3])) == prufer_decode(5, [3, 0, 3])
+        assert prufer_encode(i(3), np.array([[0, 1], [1, 2]])) == (1,)
+        assert fig7_exchange_pair(i(8), "large") == fig7_exchange_pair(8, "large")
+        assert len(list(enumerate_labeled_trees(i(4)))) == 16
+
+
 class TestNamedExampleGraphs:
     def test_fig1_adjacency(self, fig1):
         assert fig1.labels == ("a", "b", "c", "d", "e", "f")

@@ -1,4 +1,7 @@
+from unittest.mock import patch
+
 import pytest
+from hypothesis import given, strategies as st
 
 from lmss import (
     FamilySpec,
@@ -15,9 +18,13 @@ from lmss import (
     induced_subgraph,
     is_local_max_stable,
     is_stable,
+    psi_restrict_check,
+    stable_core,
 )
+from lmss.graph_core import set_of
 from conftest import (
     cycle,
+    cyclic_cores,
     labels_to_set,
     naive_alpha,
     naive_is_local_max_stable,
@@ -166,6 +173,39 @@ class TestIsLocalMaxStable:
             for m in range(1 << g.vertex_count):
                 s = frozenset(v for v in range(g.vertex_count) if m >> v & 1)
                 assert is_local_max_stable(g, s) == naive_is_local_max_stable(g, s)
+
+
+    def test_cyclic_cores_take_the_branch_and_bound_route(self):
+        # a maximal stable set S closes over the whole graph, so its peel
+        # stops at the cyclic core; T, a part of S, and a sub missing one
+        # vertex vary the neighborhood the search is left with
+        routed = []
+        real = stable_core._alpha_branch_bound
+
+        @given(cyclic_cores(), st.data())
+        def check(g, data):
+            s = 0
+            for v in data.draw(st.permutations(range(g.vertex_count))):
+                if not g.adjacency_mask(v) & s:
+                    s |= 1 << v
+            t = s & data.draw(st.integers(0, s))
+            drop = data.draw(st.integers(0, g.vertex_count))  # n drops nothing
+            sub = [v for v in range(g.vertex_count) if v != drop or s >> v & 1]
+            inner = induced_subgraph(g, sub)
+            calls = []
+            with patch.object(stable_core, "_alpha_branch_bound",
+                              lambda *args: calls.append(1) or real(*args)):
+                for m in (s, t):
+                    a = set_of(m)
+                    want = naive_is_local_max_stable(g, a)
+                    assert stable_core.in_psi_mask(g, m) == want
+                    assert is_local_max_stable(g, a) == want
+                    assert psi_restrict_check(g, sub, a) == naive_is_local_max_stable(
+                        inner, {sub.index(v) for v in a})
+            routed.append(bool(calls))
+
+        check()
+        assert sum(routed) > len(routed) // 2
 
 
 class TestEnumeratePsi:

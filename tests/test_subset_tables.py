@@ -2,6 +2,7 @@
 and equal to the per-subset loops and naive oracles they replace."""
 
 import gc
+import time
 import tracemalloc
 
 import pytest
@@ -150,3 +151,29 @@ class TestAgainstNaiveOracles:
         assert len(family) == 324 and len(report.exchange_violations) == 2200
         assert list(report.exchange_violations) == naive_exchange_violations(g, family)
         assert verify_greedoid(path(14)).exchange_ok
+
+    def test_exchange_scan_when_every_extension_mask_differs(self):
+        # edgeless: every set is a member and its extension mask is its own
+        # complement, so no two Ys share a mask; a mask that leaves at most
+        # k vertices out is never tested against the members of size k + 1
+        g = _lattice_graph(16)
+        oracle = SubsetOracle(g)
+        t0 = time.process_time()
+        report = verify_greedoid(g, oracle=oracle)
+        seconds = time.process_time() - t0
+        assert report.family_size == 1 << 16
+        assert report.accessibility_ok and report.exchange_ok
+        assert seconds < 1.5
+
+    def test_extension_masks_are_held_one_size_class_at_a_time(self):
+        g = _lattice_graph(14)
+        oracle = SubsetOracle(g)
+        tracemalloc.start()
+        try:
+            assert verify_greedoid(g, oracle=oracle).family_size == 1 << 14
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 1.1 MB; with a size class's masks kept beside its lanes it
+        # is 1.36 MB, and with one map over the whole family about 2 MB
+        assert peak < 1.25e6
