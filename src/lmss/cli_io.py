@@ -196,7 +196,11 @@ def _emit_text_graph(doc) -> str:
     lines = []
     if isinstance(doc, GraphDocument):
         for k, v in sorted(doc.metadata.items()):
-            lines.append(f"# {k}: {v}")
+            line = f"# {k}: {v}"
+            if line.splitlines() != [line]:  # the rest would not stay in the comment
+                raise UnsupportedFormatError(
+                    f"metadata {k!r} holds a line break; text output would not parse back")
+            lines.append(line)
     lines.append(f"p {g.vertex_count} {g.edge_count}")
     lines.extend(f"v {lbl}" for lbl in g.labels)
     lines.extend(f"e {g.labels[u]} {g.labels[v]}" for u, v in g.edges)

@@ -237,7 +237,10 @@ class Graph:
 
     def check_vertices_mask(self, vertices: Iterable[int]) -> tuple[frozenset, int]:
         """Validate a vertex set and return it with its bitmask."""
-        s = vertices if isinstance(vertices, frozenset) else frozenset(vertices)
+        try:
+            s = vertices if isinstance(vertices, frozenset) else frozenset(vertices)
+        except TypeError:  # not iterable, or an unhashable member
+            raise InvalidVertexError(f"vertex set {vertices!r} is not a set of indices") from None
         n = self.vertex_count
         m = 0
         try:

@@ -226,9 +226,15 @@ def generate(spec: FamilySpec) -> Graph:
     seed = 0 if spec.seed is None else _integer(spec.seed, "seed")
     if fam == "random_tree":
         return _random_forest(n, seed, 0.0)
-    if not 0.0 <= spec.delete_prob <= 1.0:
+    p = spec.delete_prob
+    try:
+        in_range = 0.0 <= p <= 1.0
+    except TypeError:
+        raise InvalidFamilyParameterError(
+            f"delete_prob must be a number in [0, 1], not {p!r}") from None
+    if not in_range:
         raise InvalidFamilyParameterError("delete_prob must lie in [0, 1]")
-    return _random_forest(n, seed, spec.delete_prob)
+    return _random_forest(n, seed, float(p))  # a Decimal cannot scale a float
 
 
 def fig7_exchange_pair(n: int, size_class: str) -> tuple[frozenset, frozenset]:

@@ -11,8 +11,8 @@ Every function that asks "is this set in the family?" picks its route once,
 in _membership: the oracle's table lookup when a SubsetOracle is passed
 (refused with ValueError when it was built for a different graph),
 otherwise the direct closed-neighborhood check of stable_core.in_psi_mask
-(the neighborhood peel, with exhaustive search above ``cap`` only when the
-peel leaves a cyclic core). The engine then works on vertex bitmasks and
+(the neighborhood peel, then exhaustive search of the cyclic core it leaves,
+refused above ``cap``). The engine then works on vertex bitmasks and
 join orders, and freezes sets only at the public boundary: a chain's
 prefixes only when they are read.
 """

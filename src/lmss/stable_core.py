@@ -4,11 +4,11 @@ A set S is a local maximum stable set when S is a maximum stable set of the
 subgraph induced by its closed neighborhood N[S]. The empty set is always a
 member of the family by convention (the greedoid view requires it).
 
-Everything here is exact: forests get the lowest-pendant peel of
-graph_core.leaf_peel (a heap-driven O(n log n) peel on bitmask adjacency,
-whose n-bit mask steps dominate at very large n), everything else goes
-through exhaustive search that refuses inputs beyond a configurable vertex
-cap instead of approximating.
+Everything here is exact. alpha of a forest is the lowest-pendant peel of
+graph_core.leaf_peel (a heap-driven O(n log n) peel on bitmask adjacency);
+alpha of any other graph is one exhaustive search of the whole graph. A
+membership check peels N[S] and searches only the cyclic core the peel
+leaves. Each search refuses more vertices than a configurable cap.
 """
 
 from __future__ import annotations
@@ -216,6 +216,7 @@ def _alpha_branch_bound(adj: list, universe: int, cap: int | None) -> int:
 
     Scans vertices in index order, include-branch first, improving strictly;
     the first optimum found is therefore the lexicographically least witness.
+    One loop, so any depth works: it descends include branches, stacks the rest.
     """
     cap = DEFAULT_BRUTE_FORCE_CAP if cap is None else cap
     n = universe.bit_count()
@@ -223,23 +224,19 @@ def _alpha_branch_bound(adj: list, universe: int, cap: int | None) -> int:
         raise TooLargeForBruteForce(f"{n} vertices exceed the brute-force cap of {cap}")
     best_size = -1
     best_mask = 0
-
-    def walk(avail: int, cur_mask: int, cur_size: int):
-        nonlocal best_size, best_mask
-        if not avail:
-            if cur_size > best_size:
-                best_size = cur_size
-                best_mask = cur_mask
-            return
-        if cur_size + avail.bit_count() <= best_size:
-            return
-        low = avail & -avail
-        avail ^= low
-        v = low.bit_length() - 1
-        walk(avail & ~adj[v], cur_mask | low, cur_size + 1)
-        walk(avail, cur_mask, cur_size)
-
-    walk(universe, 0, 0)
+    pending = [(universe, 0, 0)]  # (avail, cur_mask, cur_size) per exclude branch
+    while pending:
+        avail, cur_mask, cur_size = pending.pop()
+        while avail and cur_size + avail.bit_count() > best_size:
+            low = avail & -avail
+            avail ^= low
+            pending.append((avail, cur_mask, cur_size))
+            avail &= ~adj[low.bit_length() - 1]
+            cur_mask |= low
+            cur_size += 1
+        if cur_size > best_size:  # false at a pruned node; true at a better leaf
+            best_size = cur_size
+            best_mask = cur_mask
     return best_mask
 
 
@@ -267,20 +264,22 @@ def enumerate_omega(g: Graph, cap: int | None = None) -> list:
 
 
 def _maximum_within(adj: list, mask: int, closed: int, cap: int | None) -> bool:
-    """True iff the stable set ``mask`` attains alpha on the subgraph induced on
-    ``closed``, which holds it: by the peel when it consumes ``closed``, else by
-    exhaustive search refusing more than ``cap`` vertices."""
+    """True iff the stable set ``mask`` attains alpha on the subgraph H induced on
+    ``closed``, which holds it. Each peel move keeps alpha, so alpha(H) is the
+    peel's taken count plus alpha of the core it leaves: only that core is
+    searched, and only a core of more than ``cap`` vertices is refused."""
     taken, _, leftover = leaf_peel(adj, closed)
-    if not leftover:
-        return taken.bit_count() == mask.bit_count()
-    return _alpha_branch_bound(adj, closed, cap).bit_count() == mask.bit_count()
+    if leftover:
+        taken |= _alpha_branch_bound(adj, leftover, cap)
+    return taken.bit_count() == mask.bit_count()
 
 
 def in_psi_mask(g: Graph, mask: int, cap: int | None = None) -> bool:
     """Family membership of a validated vertex bitmask, checked directly.
 
     True iff the set is stable and attains alpha on the subgraph induced by
-    its closed neighborhood (``_maximum_within``). The empty set qualifies.
+    its closed neighborhood (``_maximum_within``); refused only when the
+    core the peel leaves of it exceeds ``cap``. The empty set qualifies.
     """
     if not stable_mask(g, mask):
         return False

@@ -3,11 +3,13 @@
 The oracles below work straight off the edge list with itertools-style
 subset enumeration. They are kept independent of the library's bitmask and
 table machinery so that every derived expected value is cross-checked by a
-second route. The quadratic pendant scans further down are the library's
-pre-heap forest routines, kept as references for the peel kernel; the
-per-subset table loop and the pair-by-pair exchange scan after them are the
-subset oracle's and the greedoid verifier's earlier routines, kept as
-references for the lane-arithmetic build and the grouped exchange scan. The
+second route. The recursive branch-and-bound further down is the exact
+search's earlier routine, kept as the reference for its loop. The quadratic
+pendant scans after it are the library's pre-heap forest routines, kept as
+references for the peel kernel; the per-subset table loop and the
+pair-by-pair exchange scan after them are the subset oracle's and the
+greedoid verifier's earlier routines, kept as references for the
+lane-arithmetic build and the grouped exchange scan. The
 chain builders last are the engine's earlier prefix-mask routines, kept as
 references for the chains it now builds as vertex join orders.
 
@@ -22,8 +24,10 @@ from itertools import combinations
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from lmss import AccessibilityFailure, Graph, FamilySpec, InternalError, Matching, generate
+from lmss import (AccessibilityFailure, Graph, FamilySpec, InternalError, Matching,
+                  TooLargeForBruteForce, generate)
 from lmss.graph_core import bits_of, mask_of, set_of
+from lmss.stable_core import DEFAULT_BRUTE_FORCE_CAP
 
 settings.register_profile(
     "lmss", derandomize=True, deadline=None, max_examples=150, database=None,
@@ -163,6 +167,43 @@ def _mask_pendant_k2(adj: list, comp: int) -> tuple[int, int]:
     for edge in _pendant_k2s(adj, comp):
         return edge
     raise InternalError("perfect tree without a pendant-K2 edge")  # pragma: no cover
+
+
+# -- recursive branch-and-bound (reference for stable_core._alpha_branch_bound)
+
+
+def recursive_alpha_branch_bound(adj: list, universe: int, cap: int | None) -> int:
+    """A maximum stable set of the subgraph induced on ``universe``, as a
+    mask, by exhaustive search with pruning; more than ``cap`` vertices
+    (default 24) are refused.
+
+    Scans vertices in index order, include-branch first, improving strictly;
+    the first optimum found is therefore the lexicographically least witness.
+    """
+    cap = DEFAULT_BRUTE_FORCE_CAP if cap is None else cap
+    n = universe.bit_count()
+    if n > cap:
+        raise TooLargeForBruteForce(f"{n} vertices exceed the brute-force cap of {cap}")
+    best_size = -1
+    best_mask = 0
+
+    def walk(avail: int, cur_mask: int, cur_size: int):
+        nonlocal best_size, best_mask
+        if not avail:
+            if cur_size > best_size:
+                best_size = cur_size
+                best_mask = cur_mask
+            return
+        if cur_size + avail.bit_count() <= best_size:
+            return
+        low = avail & -avail
+        avail ^= low
+        v = low.bit_length() - 1
+        walk(avail & ~adj[v], cur_mask | low, cur_size + 1)
+        walk(avail, cur_mask, cur_size)
+
+    walk(universe, 0, 0)
+    return best_mask
 
 
 # -- quadratic pendant scans (references for graph_core.leaf_peel) -------------

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -43,6 +44,8 @@ def labeled_graphs(draw, max_n=8):
 
 
 K2_TEXT = "p 2 1\nv u\nv v\ne u v\n"
+# every character str.splitlines() breaks a line on
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 class TestParseGraph:
@@ -127,6 +130,33 @@ class TestRoundTrip:
         # whatever Graph accepts must serialise to text that parses back
         if g is not None:
             assert parse_graph(emit(g, "text")).graph == g
+
+    @pytest.mark.parametrize("key, value", [
+        ("note", "a\nb"), ("note", "a\r"), ("no\x85te", "x"), ("note", "a\u2028b"),
+        ("note", "\x0b"), ("note", "\x0c"), ("note", "\x1c"), ("note", "\x1d"),
+        ("note", "\x1e"), ("note", "\u2029")])
+    def test_metadata_line_break_refused(self, key, value):
+        doc = GraphDocument(generate(FamilySpec("path", 3)), "family", {key: value})
+        with pytest.raises(UnsupportedFormatError, match=f"^metadata {re.escape(repr(key))} holds a line break"):
+            emit(doc, "text")
+        assert json.loads(emit(doc, "json"))["metadata"] == {key: value}
+
+    @given(labeled_graphs(), st.dictionaries(st.text(max_size=3), st.text(max_size=3),
+                                             max_size=3))
+    def test_every_document_text_accepts_round_trips(self, g, metadata):
+        # a metadata line that would spill past its comment is refused, and
+        # whatever text emit accepts parses back to the same graph
+        if g is None:
+            return
+        doc = GraphDocument(g, "family", metadata)
+        breaks = any(ch in f"{k}{v}" for k, v in metadata.items() for ch in LINE_BREAKS)
+        try:
+            text = emit(doc, "text")
+        except UnsupportedFormatError:
+            assert breaks
+            return
+        assert not breaks
+        assert parse_graph(text).graph == g
 
 
 class TestEmit:

@@ -9,8 +9,10 @@ from lmss import (
     SelfLoopError,
     SplitMix64,
     alpha,
+    chain_decompose,
     closed_neighborhood,
     decompose,
+    exchange_witness,
     generate,
     induced_subgraph,
     is_local_max_stable,
@@ -50,6 +52,16 @@ class TestGraphConstruction:
         for bad in ({-1}, {0, "a"}, {1.5}):
             with pytest.raises(InvalidVertexError, match="non-index member"):
                 g.check_vertices(bad)
+
+    @pytest.mark.parametrize("call", [
+        lambda g: is_stable(g, 5),
+        lambda g: chain_decompose(g, None),
+        lambda g: exchange_witness(g, 1, {0}),
+        lambda g: closed_neighborhood(g, [[0]]),
+    ], ids=["int", "None", "exchange int", "unhashable member"])
+    def test_vertex_set_that_is_not_a_collection_refused(self, call):
+        with pytest.raises(InvalidVertexError, match="is not a set of indices"):
+            call(path(4))
 
     def test_huge_vertex_refused_before_allocating(self):
         g = Graph(["a", "b"], [(0, 1)])

@@ -49,6 +49,29 @@ class TestBasicFamilies:
             with pytest.raises(InvalidFamilyParameterError):
                 generate(spec)
 
+    @pytest.mark.parametrize("bad", ["0.5", None, [0.1], b"x", 1j],
+                             ids=["str", "None", "list", "bytes", "complex"])
+    def test_non_number_delete_prob_refused(self, bad):
+        with pytest.raises(InvalidFamilyParameterError,
+                           match=r"^delete_prob must be a number in \[0, 1\], not "):
+            generate(FamilySpec("random_forest", 5, seed=1, delete_prob=bad))
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan"), float("inf")])
+    def test_delete_prob_out_of_range_refused(self, bad):
+        with pytest.raises(InvalidFamilyParameterError,
+                           match=r"^delete_prob must lie in \[0, 1\]$"):
+            generate(FamilySpec("random_forest", 5, seed=1, delete_prob=bad))
+
+    def test_any_number_type_draws_the_float_forest(self):
+        from decimal import Decimal
+        from fractions import Fraction
+        want = generate(FamilySpec("random_forest", 40, seed=2, delete_prob=0.25))
+        for p in (Fraction(1, 4), Decimal("0.25")):
+            assert generate(FamilySpec("random_forest", 40, seed=2, delete_prob=p)) == want
+        for p, q in ((0, 0.0), (1, 1.0), (True, 1.0)):
+            assert generate(FamilySpec("random_forest", 40, seed=2, delete_prob=p)) == \
+                generate(FamilySpec("random_forest", 40, seed=2, delete_prob=q))
+
     @pytest.mark.parametrize("family, k", [
         ("path", 1), ("cycle", 4), ("complete", 1), ("star", 1), ("fig7", 6),
         ("random_tree", 1), ("random_forest", 1)])

@@ -21,16 +21,18 @@ from lmss import (
     psi_restrict_check,
     stable_core,
 )
-from lmss.graph_core import set_of
+from lmss.graph_core import closed_mask_of, leaf_peel, set_of
 from conftest import (
     cycle,
     cyclic_cores,
+    graphs,
     labels_to_set,
     naive_alpha,
     naive_is_local_max_stable,
     naive_omega,
     naive_psi,
     path,
+    recursive_alpha_branch_bound,
 )
 from test_graph_core import random_graph
 
@@ -100,6 +102,56 @@ class TestAlpha:
         full = alpha(fig1).size
         for s in ({0, 1, 2}, {2, 3, 4, 5}, {0, 5}):
             assert alpha(induced_subgraph(fig1, s)).size <= full
+
+
+def deep_search_graph() -> Graph:
+    """A triangle t0 t1 t2 at the lowest indices, then 1 500 isolated vertices:
+    alpha's search goes 1 500 include branches deep, and the peel of any
+    N[S] holding t0 leaves only the triangle."""
+    return Graph(["t0", "t1", "t2"] + [f"v{i}" for i in range(1500)],
+                 [(0, 1), (1, 2), (0, 2)])
+
+
+class TestBranchAndBound:
+    @given(st.one_of(graphs(), cyclic_cores()), st.data())
+    def test_loop_matches_the_recursive_search(self, g, data):
+        # the same mask on a random sub-universe and on the core its peel leaves
+        adj = g._adj
+        universe = data.draw(st.integers(0, g.full_mask()))
+        for u in (universe, leaf_peel(adj, universe)[2], g.full_mask()):
+            assert stable_core._alpha_branch_bound(adj, u, None) == \
+                recursive_alpha_branch_bound(adj, u, None)
+
+    def test_deep_search_alpha(self):
+        g = deep_search_graph()
+        res = alpha(g, cap=2000)
+        assert (res.size, res.method) == (1501, "brute_force")
+        assert res.set == {0} | set(range(3, 1503))
+
+    def test_deep_search_membership_searches_only_the_triangle(self):
+        g = deep_search_graph()
+        s = {g.index_of("t0")} | {g.index_of(f"v{i}") for i in range(30)}
+        assert is_local_max_stable(g, s)
+        assert psi_restrict_check(g, range(g.vertex_count), s)
+
+    @given(cyclic_cores(), st.integers(0, 6), st.data())
+    def test_membership_refused_only_past_the_peeled_core(self, g, cap, data):
+        s = 0
+        for v in data.draw(st.permutations(range(g.vertex_count))):
+            if not g.adjacency_mask(v) & s:
+                s |= 1 << v
+        for m in (s & data.draw(st.integers(0, s)), data.draw(st.integers(0, g.full_mask()))):
+            try:
+                got = stable_core.in_psi_mask(g, m, cap)
+            except TooLargeForBruteForce:
+                got = None
+            if got is not None:
+                assert got == naive_is_local_max_stable(g, set_of(m))
+            if stable_core.stable_mask(g, m):
+                core = leaf_peel(g._adj, closed_mask_of(g._adj, m))[2]
+                assert (got is None) == (core.bit_count() > cap)
+            else:
+                assert got is False
 
 
 class TestEnumerateOmega:
