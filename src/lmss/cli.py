@@ -53,7 +53,7 @@ def cmd_alpha(args, g):
 
 def cmd_omega(args, g):
     sets = stable_core.enumerate_omega(g, cap=args.cap)
-    return {"alpha": len(sets[0]) if sets else 0, "count": len(sets),
+    return {"alpha": len(sets[0]), "count": len(sets),
             "sets": [labels_of(g, s) for s in sets]}, 0
 
 

@@ -16,7 +16,7 @@ from typing import Iterator
 
 from . import stable_core
 from .errors import InternalError, InvalidVertexError
-from .graph_core import Graph, bits_of, closed_mask_of
+from .graph_core import Graph, bits_of
 from .tree_matching import internal_cover_matching, maximum_matching
 
 
@@ -73,7 +73,9 @@ def embed_perfect(g: Graph, mode: str = "any") -> Embedding:
 
 def psi_restrict_check(host: Graph, sub_vertices, a) -> bool:
     """Membership of ``a`` in the family of the subgraph induced by
-    ``sub_vertices``.
+    ``sub_vertices``: the one kernel, stable_core.in_psi_mask, with N[a] cut to
+    that set. Its search takes a vertex with at most one neighbour left without
+    branching on it.
 
     When ``a`` is a local maximum stable set of ``host``, restriction can
     only shrink its neighborhood, so this check must come out true; callers
@@ -83,6 +85,4 @@ def psi_restrict_check(host: Graph, sub_vertices, a) -> bool:
     a = host.check_vertices_mask(a)[1]
     if a & ~sub:
         raise InvalidVertexError("a-set must lie inside the induced vertex set")
-    # the induced subgraph keeps every edge inside sub, so N[a] there is N[a] & sub
-    return stable_core.stable_mask(host, a) and stable_core._maximum_within(
-        host._adj, a, closed_mask_of(host._adj, a) & sub, None)
+    return stable_core.in_psi_mask(host, a, None, sub)

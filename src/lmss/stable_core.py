@@ -6,9 +6,10 @@ member of the family by convention (the greedoid view requires it).
 
 Everything here is exact. alpha of a forest is the lowest-pendant peel of
 graph_core.leaf_peel (a heap-driven O(n log n) peel on bitmask adjacency);
-alpha of any other graph is one exhaustive search of the whole graph. A
-membership check peels N[S] and searches only the cyclic core the peel
-leaves. Each search refuses more vertices than a configurable cap.
+alpha of any other graph is one exhaustive search of the whole graph. One
+kernel, in_psi_mask, answers membership: it peels N[S] and searches only the
+cyclic core the peel leaves, taking a vertex with at most one neighbour left
+without branching. Each search refuses more vertices than a configurable cap.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ class SubsetOracle:
         return self._alpha[mask]
 
     def alpha(self) -> int:
-        return self._alpha[-1] if self.n else 0
+        return self._alpha[-1]
 
     def in_psi_mask(self, mask: int) -> bool:
         return self._flags[mask] == 1
@@ -216,6 +217,8 @@ def _alpha_branch_bound(adj: list, universe: int, cap: int | None) -> int:
 
     Scans vertices in index order, include-branch first, improving strictly;
     the first optimum found is therefore the lexicographically least witness.
+    A vertex v with at most one neighbour u left gets no exclude branch: a set T
+    found there gives T - u + v, no smaller, in v's include branch, searched first.
     One loop, so any depth works: it descends include branches, stacks the rest.
     """
     cap = DEFAULT_BRUTE_FORCE_CAP if cap is None else cap
@@ -230,8 +233,10 @@ def _alpha_branch_bound(adj: list, universe: int, cap: int | None) -> int:
         while avail and cur_size + avail.bit_count() > best_size:
             low = avail & -avail
             avail ^= low
-            pending.append((avail, cur_mask, cur_size))
-            avail &= ~adj[low.bit_length() - 1]
+            left = adj[low.bit_length() - 1] & avail
+            if left & (left - 1):  # two or more neighbours left
+                pending.append((avail, cur_mask, cur_size))
+            avail ^= left
             cur_mask |= low
             cur_size += 1
         if cur_size > best_size:  # false at a pruned node; true at a better leaf
@@ -263,27 +268,21 @@ def enumerate_omega(g: Graph, cap: int | None = None) -> list:
     return canonical_sets(oracle.omega_masks())
 
 
-def _maximum_within(adj: list, mask: int, closed: int, cap: int | None) -> bool:
-    """True iff the stable set ``mask`` attains alpha on the subgraph H induced on
-    ``closed``, which holds it. Each peel move keeps alpha, so alpha(H) is the
-    peel's taken count plus alpha of the core it leaves: only that core is
-    searched, and only a core of more than ``cap`` vertices is refused."""
-    taken, _, leftover = leaf_peel(adj, closed)
-    if leftover:
-        taken |= _alpha_branch_bound(adj, leftover, cap)
-    return taken.bit_count() == mask.bit_count()
-
-
-def in_psi_mask(g: Graph, mask: int, cap: int | None = None) -> bool:
+def in_psi_mask(g: Graph, mask: int, cap: int | None = None, within: int = -1) -> bool:
     """Family membership of a validated vertex bitmask, checked directly.
 
     True iff the set is stable and attains alpha on the subgraph induced by
-    its closed neighborhood (``_maximum_within``); refused only when the
-    core the peel leaves of it exceeds ``cap``. The empty set qualifies.
+    N[set] & ``within`` (every vertex by default), which must hold the set.
+    Each peel move keeps alpha, so only the core the peel leaves is searched,
+    and only a core of more than ``cap`` vertices is refused. The empty set
+    qualifies.
     """
     if not stable_mask(g, mask):
         return False
-    return _maximum_within(g._adj, mask, closed_mask_of(g._adj, mask), cap)
+    taken, _, leftover = leaf_peel(g._adj, closed_mask_of(g._adj, mask) & within)
+    if leftover:
+        taken |= _alpha_branch_bound(g._adj, leftover, cap)
+    return taken.bit_count() == mask.bit_count()
 
 
 def is_local_max_stable(g: Graph, s, cap: int | None = None) -> bool:

@@ -21,6 +21,7 @@ from lmss import (
     verify_greedoid,
     verify_konig_egervary,
 )
+from lmss.cli_io import to_jsonable
 from conftest import labels_to_set
 
 
@@ -107,6 +108,19 @@ class TestParseGraph:
 
     def test_empty_graph(self):
         assert parse_graph("p 0 0\n").graph.vertex_count == 0
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("p -1 0\n", 1, "vertex/edge counts must be non-negative"),
+        ("p 2 1\nv a\nv b\ne a b\nv c\n", 5, "vertex line after edge lines"),
+        ("p 2 1\nv a\nv b\ne a\n", 4, "expected 'e <label> <label>'"),
+        ("p 2 1\nv a\nv b\ne a b\ne b a\n", 5, "more than 1 edge lines"),
+        ("p 3 0\nv a\nv b\n", 1, "declared 3 vertices but found 2"),
+    ], ids=["negative count", "vertex after edges", "one-label edge",
+            "edge lines past the count", "vertex lines short of the count"])
+    def test_refusals_name_their_line(self, text, line, message):
+        with pytest.raises(GraphSyntaxError, match=f"^line {line}: {re.escape(message)}$") as exc:
+            parse_graph(text)
+        assert exc.value.line == line
 
 
 class TestRoundTrip:
@@ -196,6 +210,16 @@ class TestEmit:
     def test_dot_without_graph_rejected(self, p4):
         with pytest.raises(UnsupportedFormatError):
             emit(verify_konig_egervary(p4), "dot")
+
+    def test_dot_of_a_document_and_of_a_marked_frozenset(self, k2):
+        assert emit(parse_graph(K2_TEXT), "dot") == emit(k2, "dot")
+        dot = emit(frozenset({0}), "dot", graph=k2)
+        assert [line for line in dot.splitlines() if "fillcolor" in line] == \
+            ['  n0 [label="u", style=filled, fillcolor=gray];']
+
+    def test_float_not_serializable(self):
+        with pytest.raises(UnsupportedFormatError, match="^cannot serialize float$"):
+            to_jsonable(3.5)
 
     def test_unknown_format(self, p4):
         with pytest.raises(UnsupportedFormatError):

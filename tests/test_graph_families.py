@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -269,6 +270,15 @@ class TestPrufer:
     def test_encode_refuses_non_tree_of_the_right_size(self, n, edges):
         with pytest.raises(InvalidFamilyParameterError, match="not a tree"):
             prufer_encode(n, edges)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: prufer_decode(1, []), "need n >= 2 and a length-0 sequence"),
+        (lambda: prufer_encode(1, []), "need n >= 2"),
+        (lambda: prufer_encode(4, [(0, 1), (1, 2)]), "not a tree: wrong edge count")],
+        ids=["decode one vertex", "encode one vertex", "encode too few edges"])
+    def test_small_orders_and_short_edge_lists_refused(self, call, message):
+        with pytest.raises(InvalidFamilyParameterError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestEnumerateLabeledTrees:

@@ -73,6 +73,12 @@ class TestEmbedPerfect:
         assert v == 2 and emb.host.labels[w] == "c_w"
         assert alpha(emb.host).size == alpha(g).size == 2
 
+    def test_fresh_label_skips_a_taken_one(self):
+        # a's first choice, a_w, already names a vertex of g
+        emb = embed_perfect(Graph(["a", "a_w", "b"], [(1, 2)]))
+        assert emb.added_edges == ((0, 3),)
+        assert emb.host.labels == ("a", "a_w", "b", "a_w2")
+
     def test_already_perfect_is_identity(self, p4):
         emb = embed_perfect(p4)
         assert emb.host == p4 and emb.added_edges == ()

@@ -1,3 +1,4 @@
+import time
 from unittest.mock import patch
 
 import pytest
@@ -21,7 +22,7 @@ from lmss import (
     psi_restrict_check,
     stable_core,
 )
-from lmss.graph_core import closed_mask_of, leaf_peel, set_of
+from lmss.graph_core import bits_of, closed_mask_of, leaf_peel, set_of
 from conftest import (
     cycle,
     cyclic_cores,
@@ -152,6 +153,50 @@ class TestBranchAndBound:
                 assert (got is None) == (core.bit_count() > cap)
             else:
                 assert got is False
+
+    def test_isolated_vertices_before_a_triangle_are_not_branched_on(self):
+        # an isolated vertex has no neighbour left, so the search takes it
+        # without an exclude branch; walking each such branch down to the
+        # triangle at the end made this search quadratic
+        g = Graph([f"v{i}" for i in range(1500)] + ["t0", "t1", "t2"],
+                  [(1500, 1501), (1501, 1502), (1500, 1502)])
+        start = time.process_time()
+        res = alpha(g, cap=2000)
+        assert time.process_time() - start < 0.25
+        assert res.set == {g.index_of("t0")} | set(range(1500))
+
+    def test_disjoint_edges_before_a_cycle_are_not_branched_on(self):
+        # the lower end of each edge has one neighbour left: taking it without
+        # an exclude branch keeps the search from doubling per edge
+        edges = [(2 * i, 2 * i + 1) for i in range(15)]
+        edges += [(30 + i, 30 + (i + 1) % 5) for i in range(5)]
+        g = Graph([f"x{i}" for i in range(35)], edges)
+        start = time.process_time()
+        res = alpha(g, cap=40)
+        assert time.process_time() - start < 0.5
+        assert (res.size, res.method) == (17, "brute_force")
+        assert res.set == set(range(0, 33, 2))
+
+    @given(cyclic_cores(), st.integers(0, 6), st.data())
+    def test_membership_within_a_vertex_set(self, g, cap, data):
+        # the kernel cut to ``sub`` answers membership in the subgraph induced
+        # by ``sub``, refused exactly when the core its peel leaves tops ``cap``
+        s = 0
+        for v in data.draw(st.permutations(range(g.vertex_count))):
+            if not g.adjacency_mask(v) & s:
+                s |= 1 << v
+        s &= data.draw(st.integers(0, s))
+        sub = s | data.draw(st.integers(0, g.full_mask()))
+        try:
+            got = stable_core.in_psi_mask(g, s, cap, sub)
+        except TooLargeForBruteForce:
+            got = None
+        core = leaf_peel(g._adj, closed_mask_of(g._adj, s) & sub)[2]
+        assert (got is None) == (core.bit_count() > cap)
+        if got is not None:
+            keep = list(bits_of(sub))
+            assert got == naive_is_local_max_stable(
+                induced_subgraph(g, keep), {keep.index(v) for v in bits_of(s)})
 
 
 class TestEnumerateOmega:

@@ -3,6 +3,7 @@ import pytest
 from lmss import (
     FamilySpec,
     Graph,
+    Matching,
     NotAForestError,
     enumerate_labeled_trees,
     generate,
@@ -19,6 +20,12 @@ def forest_corpus(count=60, max_n=12, seed0=100):
     for i in range(count):
         yield generate(FamilySpec("random_forest", n=2 + i % (max_n - 1),
                                   seed=seed0 + i))
+
+
+class TestMatchingFromEdges:
+    def test_shared_endpoint_refused(self):
+        with pytest.raises(ValueError, match="^edges share an endpoint$"):
+            Matching.from_edges([(0, 1), (1, 2)])
 
 
 class TestMaximumMatching:
