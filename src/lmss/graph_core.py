@@ -3,18 +3,26 @@
 Vertices are dense indices 0..n-1; every vertex carries a distinct string
 label so example graphs and test fixtures stay readable in I/O. A label is a
 non-empty token without whitespace or '#', so every graph written in the
-text format parses back; Graph refuses any other label. Adjacency is
-kept as one bitmask per vertex, which the enumeration and certificate
-machinery in the other modules relies on.
+text format parses back; Graph refuses any other label.
+
+Adjacency is kept as one ascending tuple of neighbors per vertex, and one
+rule holds across the package: neighbor lists for traversal, bitmasks only
+where subsets are enumerated or searched. The forest routines (peel,
+forest test, components, matchings, embedding, constructive chain) walk the
+lists with a bytearray of flags per vertex, so they stay O(n log n) in time
+and O(n) in memory. Neighbor masks are built from the lists only where they
+are used: by the subset tables, one per vertex of a small graph, and by the
+exhaustive search, one per vertex it searches.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import repeat
-from operator import index
+from itertools import compress, count, groupby, islice, repeat
+from operator import eq, index
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidVertexError, SelfLoopError
@@ -40,36 +48,59 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 
 def set_of(mask: int) -> frozenset:
-    return frozenset(bits_of(mask))
+    """The vertex set of ``mask``, through flags_of in linear time (bits_of
+    costs O(width) per member)."""
+    return frozenset(compress(count(), flags_of(mask, 0)))
 
 
-def closed_mask_of(adj: list, mask: int) -> int:
-    """N[S] as a bitmask, for the vertex set S given by ``mask``."""
-    closed = mask
-    for v in bits_of(mask):
-        closed |= adj[v]
+_BYTE_OF_DIGIT = bytes.maketrans(b"01", b"\x00\x01")
+_DIGIT_OF_BYTE = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def flags_of(mask: int, n: int) -> bytearray:
+    """The vertex set ``mask`` as one byte per vertex (1 = member), padded
+    with zeros to at least n bytes, in a few linear passes."""
+    return bytearray(format(mask, "b")[::-1].encode().translate(_BYTE_OF_DIGIT).ljust(n, b"\0"))
+
+
+def mask_of_flags(flags) -> int:
+    """The inverse of flags_of: the bitmask of the flagged vertices."""
+    return int(flags.translate(_DIGIT_OF_BYTE)[::-1], 2) if flags else 0
+
+
+def closed_flags(nbrs: Sequence, members) -> bytearray:
+    """N[S] as one byte per vertex, for the vertex set S flagged in ``members``."""
+    closed = bytearray(members)
+    for v in compress(range(len(members)), members):
+        for w in nbrs[v]:
+            closed[w] = 1
     return closed
 
 
-def component_masks(adj: list, universe: int) -> list:
-    """Connected components of the subgraph induced on ``universe``, as
-    masks ordered by their lowest vertex."""
-    components = []
-    while universe:
-        comp = frontier = universe & -universe
-        while frontier:
-            grow = 0
-            for v in bits_of(frontier):
-                grow |= adj[v]
-            frontier = grow & universe & ~comp
-            comp |= frontier
-        universe ^= comp
-        components.append(comp)
-    return components
+def component_lists(nbrs: Sequence, active) -> list:
+    """Connected components of the subgraph induced on the vertices flagged
+    in ``active`` (one byte per vertex; not modified), ordered by their
+    lowest vertex. Each is a list of its vertices in breadth-first order
+    from that lowest vertex."""
+    todo = bytearray(active)
+    comps = []
+    v = todo.find(1)
+    while v >= 0:  # v is the lowest vertex of the next component
+        todo[v] = 0
+        comp = [v]
+        for u in comp:
+            for w in nbrs[u]:
+                if todo[w]:
+                    todo[w] = 0
+                    comp.append(w)
+        comps.append(comp)
+        v = todo.find(1, v + 1)
+    return comps
 
 
-def leaf_peel(adj: list, active: int) -> tuple[int, tuple, int]:
-    """Lowest-pendant peel of the subgraph induced on ``active``.
+def leaf_peel(nbrs: Sequence, active) -> tuple[int, tuple, int]:
+    """Lowest-pendant peel of the subgraph induced on the vertices flagged in
+    ``active`` (one byte per vertex, as flags_of gives; not modified).
 
     Repeatedly takes the lowest-index pendant x of what is left, pairs it
     with its neighbor y and deletes both; every vertex left isolated is
@@ -81,49 +112,50 @@ def leaf_peel(adj: list, active: int) -> tuple[int, tuple, int]:
     vertex, so ``active`` contains a cycle; the converse fails (deleting y
     can break a cycle).
 
-    Pendants wait in a min-heap with lazy deletion (a popped vertex no
-    longer in ``active`` is skipped; a live one still has degree 1, since a
-    degree only falls when a neighbor y is deleted and is then rechecked).
-    A deletion re-examines only the live neighbors of y: O(n log n) heap
-    work. Each move also costs a few bigint operations on n-bit masks, each
-    linear in n, which dominate at very large n.
+    Liveness is a bytearray and each live vertex keeps a count of its live
+    neighbors. Pendants wait in a min-heap with lazy deletion (a popped
+    vertex no longer live is skipped; a live one still has one neighbor,
+    since a count only falls when a neighbor y is deleted and is then
+    rechecked). A deletion visits only the neighbors of y, so the peel is
+    O(n log n) over the neighbor lists, plus two linear passes that turn
+    the flags into the returned masks.
     """
+    live = bytearray(active)
+    took = bytearray(len(live))
+    deg = [0] * len(live)
     heap = []  # filled in ascending order, hence already a heap
-    taken = 0
-    rest = active
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        v = low.bit_length() - 1
-        live = adj[v] & active
-        if not live:
-            taken |= low
-        elif not live & (live - 1):  # exactly one live neighbor
+    for v in compress(range(len(live)), live):
+        d = 0
+        for w in nbrs[v]:
+            d += live[w]
+        if d == 1:
             heap.append(v)
-    active ^= taken
+        elif not d:  # no live vertex counts it, so it leaves at once
+            took[v] = 1
+            live[v] = 0
+        deg[v] = d
     pairs = []
     while heap:
         x = heappop(heap)
-        bx = 1 << x
-        if not active & bx:
+        if not live[x]:
             continue
-        by = adj[x] & active
-        y = by.bit_length() - 1
-        taken |= bx
-        active ^= bx | by
+        for y in nbrs[x]:
+            if live[y]:
+                break
+        took[x] = 1
+        live[x] = live[y] = 0
         pairs.append((x, y))
-        rest = adj[y] & active
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            z = low.bit_length() - 1
-            live = adj[z] & active
-            if not live:
-                taken |= low
-                active ^= low
-            elif not live & (live - 1):
-                heappush(heap, z)
-    return taken, tuple(pairs), active
+        for z in nbrs[y]:
+            if live[z]:
+                d = deg[z] - 1
+                deg[z] = d
+                if d == 1:
+                    heappush(heap, z)
+                elif not d:
+                    took[z] = 1
+                    live[z] = 0
+    leftover = mask_of_flags(live) if live.find(1) >= 0 else 0
+    return mask_of_flags(took), tuple(pairs), leftover
 
 
 class Graph:
@@ -133,7 +165,7 @@ class Graph:
     filtering are realized by constructing new graphs.
     """
 
-    __slots__ = ("labels", "edges", "vertex_count", "_index", "_adj", "_forest", "_peel",
+    __slots__ = ("labels", "edges", "vertex_count", "_index", "_nbrs", "_forest", "_peel",
                  "_oracle")
 
     def __init__(self, labels: Sequence[str], edges: Iterable[tuple[int, int]] = ()):
@@ -152,8 +184,7 @@ class Graph:
             if lbl in positions:
                 raise ValueError(f"duplicate vertex label {lbl!r}")
             positions[lbl] = i
-        adj = [0] * n
-        seen = set()
+        norm = []
         for u, v in edges:
             try:  # numpy integers become ints; floats, strings and None are refused
                 u, v = index(u), index(v)
@@ -163,17 +194,24 @@ class Graph:
                 raise InvalidVertexError(f"edge ({u}, {v}) out of range 0..{n - 1}")
             if u == v:
                 raise SelfLoopError(f"self-loop at vertex {labels[u]!r}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                continue
-            seen.add(e)
-            adj[e[0]] |= 1 << e[1]
-            adj[e[1]] |= 1 << e[0]
+            norm.append((u, v) if u < v else (v, u))
+        norm.sort()  # parallel edges become neighbors and collapse
+        if any(map(eq, norm, islice(norm, 1, None))):
+            norm = [e for e, _ in groupby(norm)]
+        self.edges = edges = tuple(norm)
+        del norm  # freed before the neighbor lists grow
+        # in edge order, u's lower neighbors (edges (w, u)) precede its higher
+        # ones (edges (u, w)), and each run ascends: the lists come out sorted
+        nbrs = [[] for _ in range(n)]
+        for u, v in edges:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        for v in range(n):  # one list at a time, so the lists and tuples never all coexist
+            nbrs[v] = tuple(nbrs[v])
         self.labels = labels
-        self.edges = tuple(sorted(seen))
         self.vertex_count = n
         self._index = positions
-        self._adj = adj
+        self._nbrs = tuple(nbrs)
         self._forest = None
         self._peel = None
         self._oracle = None  # stable_core's subset tables, built on first use
@@ -206,27 +244,30 @@ class Graph:
             v = index(v)  # a numpy integer becomes the equal int
         except TypeError:
             raise InvalidVertexError(f"vertex {v!r} is not an index") from None
-        if not 0 <= v < self.vertex_count:  # _adj[-1] would read another vertex
+        if not 0 <= v < self.vertex_count:  # _nbrs[-1] would read another vertex
             raise InvalidVertexError(f"vertex {v!r} out of range 0..{self.vertex_count - 1}")
         return v
 
     def adjacency_mask(self, v: int) -> int:
         """Open neighborhood of ``v`` as a bitmask; ``v`` must lie in 0..n-1."""
-        return self._adj[self._vertex(v)]
+        return mask_of(self._nbrs[self._vertex(v)])
 
     def closed_mask(self, v: int) -> int:
         v = self._vertex(v)
-        return self._adj[v] | (1 << v)
+        return mask_of(self._nbrs[v]) | (1 << v)
 
     def degree(self, v: int) -> int:
-        return self.adjacency_mask(v).bit_count()
+        return len(self._nbrs[self._vertex(v)])
 
     def neighbors(self, v: int) -> list[int]:
-        return list(bits_of(self.adjacency_mask(v)))
+        """The neighbors of ``v``, ascending."""
+        return list(self._nbrs[self._vertex(v)])
 
     def has_edge(self, u: int, v: int) -> bool:
-        v = self._vertex(v)  # refuses v before 1 << v can allocate
-        return bool(self.adjacency_mask(u) & (1 << v))
+        v = self._vertex(v)
+        ns = self._nbrs[self._vertex(u)]
+        i = bisect_left(ns, v)
+        return i < len(ns) and ns[i] == v
 
     def full_mask(self) -> int:
         return (1 << self.vertex_count) - 1
@@ -265,16 +306,18 @@ class Graph:
 
     @property
     def is_forest(self) -> bool:
+        """Acyclicity: edge_count == vertex_count - number of components.
+        Computed once."""
         if self._forest is None:
-            components = component_masks(self._adj, self.full_mask())
-            self._forest = self.edge_count == self.vertex_count - len(components)
+            n = self.vertex_count
+            self._forest = len(self.edges) == n - len(component_lists(self._nbrs, b"\x01" * n))
         return self._forest
 
     @property
     def peel(self) -> tuple[int, tuple, int]:
         """``leaf_peel`` of the whole graph, computed once."""
         if self._peel is None:
-            self._peel = leaf_peel(self._adj, self.full_mask())
+            self._peel = leaf_peel(self._nbrs, b"\x01" * self.vertex_count)
         return self._peel
 
     # -- value semantics -------------------------------------------------
@@ -305,7 +348,8 @@ def closed_neighborhood(g: Graph, a: Iterable[int]) -> frozenset:
 
     The empty set has empty closed neighborhood.
     """
-    return set_of(closed_mask_of(g._adj, g.check_vertices_mask(a)[1]))
+    a = g.check_vertices(a)
+    return a.union(*map(g._nbrs.__getitem__, a))
 
 
 def induced_subgraph(g: Graph, a: Iterable[int]) -> Graph:
@@ -314,12 +358,8 @@ def induced_subgraph(g: Graph, a: Iterable[int]) -> Graph:
     keep = sorted(g.check_vertices(a))
     remap = {old: new for new, old in enumerate(keep)}
     labels = [g.labels[v] for v in keep]
-    kmask = mask_of(keep)
-    edges = []
-    for old in keep:
-        for w in bits_of(g._adj[old] & kmask):
-            if w > old:
-                edges.append((remap[old], remap[w]))
+    edges = [(remap[old], remap[w]) for old in keep for w in g._nbrs[old]
+             if w > old and w in remap]
     return Graph(labels, edges)
 
 
@@ -336,7 +376,7 @@ def decompose(g: Graph) -> ComponentDecomposition:
     order->1 convention, is_tree additionally requires at least 2 vertices.
     """
     n = g.vertex_count
-    components = tuple(set_of(c) for c in component_masks(g._adj, g.full_mask()))
-    is_forest = g.edge_count == n - len(components)
-    is_tree = is_forest and len(components) == 1 and n >= 2
-    return ComponentDecomposition(components, is_forest, is_tree)
+    comps = tuple(map(frozenset, component_lists(g._nbrs, b"\x01" * n)))
+    is_forest = g.edge_count == n - len(comps)
+    is_tree = is_forest and len(comps) == 1 and n >= 2
+    return ComponentDecomposition(comps, is_forest, is_tree)

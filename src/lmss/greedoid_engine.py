@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from operator import eq, index, or_
 from typing import NamedTuple, Optional
@@ -39,7 +39,8 @@ from .errors import (
     NotPerfectTreeError,
     SizeMismatchError,
 )
-from .graph_core import Graph, bits_of, closed_mask_of, component_masks, leaf_peel, set_of
+from .graph_core import (Graph, closed_flags, component_lists, flags_of, leaf_peel,
+                         mask_of_flags, set_of)
 from .perfect_embedding import fresh_partners
 from .stable_core import SubsetOracle, canonical_sets
 
@@ -153,10 +154,22 @@ def chain_is_valid(cert: ChainCertificate, oracle: SubsetOracle | None = None,
     family membership of every prefix (by the oracle when one is given).
 
     Each prefix is validated against the graph before it is used, so both
-    routes raise InvalidVertexError on a foreign vertex.
+    routes raise InvalidVertexError on a foreign vertex. A PrefixChain is
+    checked along its join order: each vertex is validated once, and must
+    be new, and the prefix mask grows by its bit.
     """
     g = cert.graph
     in_psi = _membership(g, oracle, cap)
+    if isinstance(cert.chain, PrefixChain):
+        m = 0
+        for v in cert.chain._order:
+            bit = 1 << g._vertex(v)
+            if m & bit:
+                return False
+            m |= bit
+            if not in_psi(m):
+                return False
+        return True
     prev = 0
     for i, s in enumerate(cert.chain, start=1):
         m = g.check_vertices_mask(s)[1]
@@ -181,10 +194,13 @@ def pendant_k2_edge(g: Graph) -> tuple[int, int]:
         raise NotPerfectTreeError("tree has no perfect matching")
     if n == 2:
         raise K2BaseCase("two-vertex tree: no pendant-K2 edge to peel")
-    for x, y in _pendant_k2s(g._adj, g.full_mask()):
-        if (x, y) not in pairs and (y, x) not in pairs:  # pragma: no cover - forced for pendants
-            raise InternalError("pendant edge missing from the perfect matching")
-        return (x, y)
+    nbrs = g._nbrs
+    for x in range(n):
+        if len(nbrs[x]) == 1 and len(nbrs[nbrs[x][0]]) == 2:
+            y = nbrs[x][0]
+            if (x, y) not in pairs and (y, x) not in pairs:  # pragma: no cover - forced
+                raise InternalError("pendant edge missing from the perfect matching")
+            return (x, y)
     raise InternalError("perfect tree without a pendant-K2 edge")  # pragma: no cover
 
 
@@ -225,7 +241,7 @@ def nt_extend(g: Graph, s1, s2, oracle: SubsetOracle | None = None,
     a = oracle.alpha() if oracle is not None else stable_core.alpha(g, cap).size
     if m2.bit_count() != a or not stable_core.stable_mask(g, m2):
         raise NotMaximumError("s2 is not a maximum stable set")
-    result = m1 | (m2 & ~closed_mask_of(g._adj, m1))
+    result = m1 | (m2 & ~mask_of_flags(closed_flags(g._nbrs, flags_of(m1, g.vertex_count))))
     if result.bit_count() != a or not stable_core.stable_mask(g, result):  # pragma: no cover
         raise InternalError("extension missed the stability number")
     return set_of(result)
@@ -278,88 +294,94 @@ def _greedy_peel_order(in_psi, s_mask: int) -> list:
     return removed[::-1]
 
 
-def _pendant_k2s(adj: list, comp: int):
-    """Yield every pendant-K2 edge (x, y) of ``comp``, x ascending: a
-    pendant x whose neighbor y has degree exactly 2."""
-    for x in bits_of(comp):
-        live = adj[x] & comp
-        if live.bit_count() == 1:
-            y = live.bit_length() - 1
-            if (adj[y] & comp).bit_count() == 2:
-                yield x, y
-
-
-def _component_chain(adj: list, comp: int, sc: int) -> list:
-    """Join order of ``sc`` for one perfect tree ``comp`` of the embedded
-    neighborhood, where ``sc`` is a maximum stable set of that tree.
+def _component_chain(nb, live, deg, comp: list, pendants: list, chosen) -> list:
+    """Join order of the chosen vertices of one perfect tree ``comp`` of the
+    embedded neighborhood, where they form a maximum stable set of that
+    tree. ``nb``, ``live`` and ``deg`` describe the embedded forest (neighbor
+    lists, liveness flags and live degrees) and are updated in place;
+    ``pendants`` are the tree's pendants.
 
     Pendant-K2 edges x-y are peeled down to a final K2, each time with the
-    lowest pendant x whose neighbor y has degree two. Chosen pendants x
+    lowest pendant x whose neighbor y has degree exactly 2. Chosen pendants x
     join first, in peel order, then the chosen vertex of the final K2, then
     chosen neighbors y in reverse peel order; the embedding's fresh vertices
     are never chosen.
 
-    The candidates x wait in a min-heap, seeded by one scan and rechecked
-    when popped. Deleting x and y changes only the degree of y's other
-    neighbor z, so only z (when it becomes a pendant) and the pendants on z
-    (when z drops to degree two) are pushed. Every vertex is pushed as a
-    pendant, so it never leaves as a y, which has degree two.
+    The candidates x wait in a min-heap and are rechecked when popped, so
+    the heap may hold pendants that are no candidates yet. Deleting x and y
+    changes only the degree of y's other neighbor z, so only z (when it
+    becomes a pendant) and the pendants on z (when z drops to degree two)
+    are pushed: every vertex that becomes a candidate is pushed then. Every
+    vertex is pushed as a pendant, so it never leaves as a y, which has
+    degree two.
     """
-    size = comp.bit_count()
-    if size == 2:
-        return [sc.bit_length() - 1]
-    heap = [x for x, _ in _pendant_k2s(adj, comp)]  # ascending, so already a heap
+    heap = pendants
+    heapify(heap)
     head, tail = [], []
-    while True:
+    size = len(comp)
+    while size > 2:
         x = heappop(heap)
-        bx = 1 << x
-        live = adj[x] & comp
-        if live.bit_count() != 1:  # x went with its neighbor, or is no pendant
+        if not live[x] or deg[x] != 1:  # x went with its neighbor, or is no pendant
             continue
-        y = live.bit_length() - 1
-        by = 1 << y
-        rest = (adj[y] & comp) ^ bx  # y's neighbors besides x
-        if rest.bit_count() != 1:
+        for y in nb[x]:
+            if live[y]:
+                break
+        if deg[y] != 2:
             continue
-        if sc & bx:
+        for z in nb[y]:  # y's other neighbor
+            if live[z] and z != x:
+                break
+        if chosen[x]:
             head.append(x)
-            sc ^= bx
-        elif sc & by:
+        elif chosen[y]:
             tail.append(y)
-            sc ^= by
         else:  # pragma: no cover - a maximum stable set meets every K2
             raise InternalError("matched edge disjoint from a maximum stable set")
-        comp ^= bx | by
+        live[x] = live[y] = 0
         size -= 2
-        if size == 2:
-            break
-        z = rest.bit_length() - 1
-        live = adj[z] & comp
-        d = live.bit_count()
+        d = deg[z] = deg[z] - 1
         if d == 1:
             heappush(heap, z)
         elif d == 2:
-            for u in bits_of(live):
-                if (adj[u] & comp).bit_count() == 1:
+            for u in nb[z]:
+                if live[u] and deg[u] == 1:
                     heappush(heap, u)
-    if sc.bit_count() != 1:  # pragma: no cover
+    base = [v for v in comp if live[v] and chosen[v]]
+    if len(base) != 1:  # pragma: no cover
         raise InternalError("base K2 holds more than one chosen vertex")
-    return head + [sc.bit_length() - 1] + tail[::-1]
+    return head + base + tail[::-1]
 
 
 def _constructive_chain_order(g: Graph, s_mask: int) -> list:
     """Embed N[S] into a perfect forest by embed_perfect's fresh-partner
     step on the leaf-greedy matching of N[S]. Then join the orders of its
-    components, which are perfect trees ordered by their lowest vertex."""
-    adj = list(g._adj)
-    forest = closed_mask_of(adj, s_mask)
-    for v, w in fresh_partners(leaf_peel(adj, forest)[1], forest, len(adj)):
-        adj.append(1 << v)
-        adj[v] |= 1 << w
-        forest |= 1 << w
+    components, which are perfect trees ordered by their lowest vertex.
+
+    The embedded forest is g's neighbor lists, each fresh vertex appended
+    to its partner's list (above every old index, so the lists stay sorted),
+    with the vertices outside N[S] flagged dead. Each component's vertices
+    then give its live degrees and pendants."""
+    n = g.vertex_count
+    chosen = flags_of(s_mask, n)
+    live = closed_flags(g._nbrs, chosen)
+    nb = list(g._nbrs)
+    for v, w in fresh_partners(leaf_peel(nb, live)[1], live, n):
+        nb[v] += (w,)
+        nb.append((v,))
+    live += b"\x01" * (len(nb) - n)
+    chosen += bytes(len(nb) - n)
+    deg = [0] * len(nb)
     order = []
-    for comp in component_masks(adj, forest):
-        order += _component_chain(adj, comp, s_mask & comp)
+    for comp in component_lists(nb, live):
+        pendants = []
+        for u in comp:
+            d = 0
+            for w in nb[u]:
+                d += live[w]
+            deg[u] = d
+            if d == 1:
+                pendants.append(u)
+        order += _component_chain(nb, live, deg, comp, pendants, chosen)
     return order
 
 

@@ -11,12 +11,12 @@ isolated vertex of the original forest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
+from itertools import compress, count
 from typing import Iterator
 
 from . import stable_core
 from .errors import InternalError, InvalidVertexError
-from .graph_core import Graph, bits_of
+from .graph_core import Graph
 from .tree_matching import internal_cover_matching, maximum_matching
 
 
@@ -39,13 +39,14 @@ def _fresh_label(base: str, taken: set) -> str:
     return cand
 
 
-def fresh_partners(pairs, universe: int, first: int) -> Iterator[tuple[int, int]]:
-    """The embedding step: the vertices of the mask ``universe`` that the matching
-    ``pairs`` leaves exposed get partners first, first + 1, ... in ascending order."""
-    covered = 0
+def fresh_partners(pairs, universe, first: int) -> Iterator[tuple[int, int]]:
+    """The embedding step: the vertices flagged in ``universe`` (one byte per
+    vertex) that the matching ``pairs`` leaves exposed get partners first,
+    first + 1, ... in ascending order."""
+    exposed = bytearray(universe)
     for x, y in pairs:
-        covered |= (1 << x) | (1 << y)
-    return zip(bits_of(universe & ~covered), count(first))
+        exposed[x] = exposed[y] = 0
+    return zip(compress(range(len(exposed)), exposed), count(first))
 
 
 def embed_perfect(g: Graph, mode: str = "any") -> Embedding:
@@ -60,7 +61,7 @@ def embed_perfect(g: Graph, mode: str = "any") -> Embedding:
         raise ValueError(f"unknown mode {mode!r}")
     matching = maximum_matching(g) if mode == "any" else internal_cover_matching(g)
     n = g.vertex_count
-    added = tuple(fresh_partners(matching.edges, g.full_mask(), n))
+    added = tuple(fresh_partners(matching.edges, b"\x01" * n, n))
     taken = set(g.labels)
     labels = list(g.labels) + [_fresh_label(g.labels[v], taken) for v, _ in added]
     host = Graph(labels, g.edges + added) if added else g

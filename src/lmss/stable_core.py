@@ -5,20 +5,25 @@ subgraph induced by its closed neighborhood N[S]. The empty set is always a
 member of the family by convention (the greedoid view requires it).
 
 Everything here is exact. alpha of a forest is the lowest-pendant peel of
-graph_core.leaf_peel (a heap-driven O(n log n) peel on bitmask adjacency);
-alpha of any other graph is one exhaustive search of the whole graph. One
-kernel, in_psi_mask, answers membership: it peels N[S] and searches only the
-cyclic core the peel leaves, taking a vertex with at most one neighbour left
-without branching. Each search refuses more vertices than a configurable cap.
+graph_core.leaf_peel (a heap-driven O(n log n) peel over the neighbor
+lists); alpha of any other graph is one exhaustive search of the whole
+graph. One kernel, in_psi_mask, answers membership: it checks stability and
+builds N[S] on the neighbor lists, peels N[S], and searches only the cyclic
+core the peel leaves, taking a vertex with at most one neighbour left
+without branching. Each search refuses more vertices than a configurable
+cap. Neighbour masks are built only by the subset tables and, for the
+vertices it searches, by the search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple
 
 from .errors import InternalError, TooLargeForBruteForce, TooLargeForEnumeration
-from .graph_core import Graph, bits_of, closed_mask_of, leaf_peel, set_of
+from .graph_core import (Graph, bits_of, closed_flags, flags_of, leaf_peel, mask_of,
+                         mask_of_flags, set_of)
 
 DEFAULT_BRUTE_FORCE_CAP = 24
 DEFAULT_ENUMERATION_CAP = 20
@@ -114,7 +119,7 @@ def _build_tables(g: Graph) -> _SubsetTables:
     """The alpha table, then the family: the stable subsets X (the only ones
     visited one by one) with alpha(N[X]) = |X|."""
     n = g.vertex_count
-    adj = g._adj
+    adj = [mask_of(ns) for ns in g._nbrs]
     alpha, stable = _alpha_and_stable(adj, n)
     # N[X] = low[X's vertices below split] | top[X's vertices from split up]
     split = n // 2
@@ -192,16 +197,18 @@ class SubsetOracle:
         return [m for m in self._masks if m.bit_count() == a]
 
 
+def _stable_flags(nbrs, members) -> bool:
+    """Stability of the vertex set flagged in ``members``."""
+    for v in compress(range(len(members)), members):
+        for w in nbrs[v]:
+            if members[w]:
+                return False
+    return True
+
+
 def stable_mask(g: Graph, m: int) -> bool:
     """Stability of a validated vertex bitmask."""
-    adj = g._adj
-    rest = m
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        if adj[low.bit_length() - 1] & m:
-            return False
-    return True
+    return _stable_flags(g._nbrs, flags_of(m, g.vertex_count))
 
 
 def is_stable(g: Graph, s) -> bool:
@@ -210,10 +217,11 @@ def is_stable(g: Graph, s) -> bool:
     return stable_mask(g, m)
 
 
-def _alpha_branch_bound(adj: list, universe: int, cap: int | None) -> int:
+def _alpha_branch_bound(nbrs, universe: int, cap: int | None) -> int:
     """A maximum stable set of the subgraph induced on ``universe``, as a
     mask, by exhaustive search with pruning; more than ``cap`` vertices
-    (default 24) are refused.
+    (default 24) are refused. Only the vertices searched get a neighbour
+    mask, built from their lists ``nbrs[v]``.
 
     Scans vertices in index order, include-branch first, improving strictly;
     the first optimum found is therefore the lexicographically least witness.
@@ -225,6 +233,7 @@ def _alpha_branch_bound(adj: list, universe: int, cap: int | None) -> int:
     n = universe.bit_count()
     if n > cap:
         raise TooLargeForBruteForce(f"{n} vertices exceed the brute-force cap of {cap}")
+    adj = {v: mask_of(nbrs[v]) for v in bits_of(universe)}
     best_size = -1
     best_mask = 0
     pending = [(universe, 0, 0)]  # (avail, cur_mask, cur_size) per exclude branch
@@ -258,7 +267,7 @@ def alpha(g: Graph, cap: int | None = None) -> StableSetResult:
             raise InternalError("no pendant or isolated vertex in a forest")
         s = set_of(taken)
         return StableSetResult(set=s, size=len(s), method="forest_dp")
-    s = set_of(_alpha_branch_bound(g._adj, g.full_mask(), cap))
+    s = set_of(_alpha_branch_bound(g._nbrs, g.full_mask(), cap))
     return StableSetResult(set=s, size=len(s), method="brute_force")
 
 
@@ -277,11 +286,16 @@ def in_psi_mask(g: Graph, mask: int, cap: int | None = None, within: int = -1) -
     and only a core of more than ``cap`` vertices is refused. The empty set
     qualifies.
     """
-    if not stable_mask(g, mask):
+    nbrs = g._nbrs
+    members = flags_of(mask, g.vertex_count)
+    if not _stable_flags(nbrs, members):
         return False
-    taken, _, leftover = leaf_peel(g._adj, closed_mask_of(g._adj, mask) & within)
+    closed = closed_flags(nbrs, members)
+    if within != -1:
+        closed = flags_of(mask_of_flags(closed) & within, g.vertex_count)
+    taken, _, leftover = leaf_peel(nbrs, closed)
     if leftover:
-        taken |= _alpha_branch_bound(g._adj, leftover, cap)
+        taken |= _alpha_branch_bound(nbrs, leftover, cap)
     return taken.bit_count() == mask.bit_count()
 
 

@@ -3,11 +3,11 @@
 The leaf-greedy rule (match the lowest-index pendant to its neighbor,
 delete both, repeat) is exact on forests and gives reproducible witnesses.
 It is the pairs half of the graph's memoised graph_core.leaf_peel, a
-heap-driven peel doing O(n log n) heap work on bitmask adjacency (plus n-bit
-mask steps that dominate at very large n), so the matching and the forest
-alpha witness come from one peel. On top of it sits the alternating-path
-shifting procedure that upgrades any maximum matching into one covering
-every internal vertex.
+heap-driven O(n log n) peel over the neighbor lists, so the matching and the
+forest alpha witness come from one peel. On top of it sits the
+alternating-path shifting procedure that upgrades any maximum matching into
+one covering every internal vertex; it too walks the neighbor lists, in
+time linear in the length of its walks.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def internal_cover_matching(g: Graph) -> Matching:
     """
     _require_forest(g, "internal_cover_matching")
     n = g.vertex_count
-    adj = g._adj
+    nbrs = g._nbrs
     partner = [-1] * n
     for u, v in g.peel[1]:
         partner[u] = v
@@ -83,19 +83,21 @@ def internal_cover_matching(g: Graph) -> Matching:
     # A repair only ever leaves a pendant exposed, so one ascending pass
     # meets every exposed internal vertex in the order a rescan would.
     for v in range(n):
-        if partner[v] >= 0 or adj[v].bit_count() < 2:
+        if partner[v] >= 0 or len(nbrs[v]) < 2:
             continue
-        visited = 1 << v
+        visited = {v}
         e, came_from = v, -1
-        while adj[e].bit_count() >= 2:
-            choices = adj[e] & ~((1 << came_from) if came_from >= 0 else 0)
-            q = (choices & -choices).bit_length() - 1
+        while len(nbrs[e]) >= 2:
+            q = nbrs[e][0]  # the lowest neighbor but the one the walk came from
+            if q == came_from:
+                q = nbrs[e][1]
             if partner[q] < 0:
                 raise InternalError("maximum matching left two adjacent exposed vertices")
             r = partner[q]
-            if visited & ((1 << r) | (1 << q)):
+            if q in visited or r in visited:
                 raise InternalError("alternating walk revisited a vertex in a forest")
-            visited |= (1 << q) | (1 << r)
+            visited.add(q)
+            visited.add(r)
             partner[e], partner[q] = q, e
             partner[r] = -1
             e, came_from = r, q

@@ -1,6 +1,7 @@
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from lmss import (
     FamilySpec,
@@ -19,7 +20,14 @@ from lmss import (
     is_stable,
     pendant_vertices,
 )
-from conftest import labels_to_set, naive_closed_neighborhood, path
+from conftest import (
+    cyclic_cores,
+    forests,
+    graphs,
+    labels_to_set,
+    naive_closed_neighborhood,
+    path,
+)
 
 
 def random_graph(n, percent, rng):
@@ -303,6 +311,56 @@ class TestDecompose:
                     verts -= drop
                     work = {e for e in work if e[0] in verts and e[1] in verts}
                 assert not work  # peeling a forest leaves nothing
+
+
+def union_find_is_forest(g: Graph) -> bool:
+    """Acyclicity read from ``g.edges`` alone: an edge inside one tree closes a cycle."""
+    root = list(range(g.vertex_count))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in g.edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        root[ru] = rv
+    return True
+
+
+@given(st.one_of(graphs(), cyclic_cores(), forests()))
+@example(Graph(["a", "b", "c", "d"], [(0, 1), (1, 2), (0, 2)]))  # n - 1 edges, a cycle
+def test_neighbor_lists_and_forest_test_agree_with_the_edges(g):
+    # the cached forest test against decompose's and a union-find over the
+    # edges, and the neighbor lists against the edge list
+    assert g.is_forest == decompose(g).is_forest == union_find_is_forest(g)
+    n = g.vertex_count
+    for v in range(n):
+        nbrs = g.neighbors(v)
+        assert all(a < b for a, b in zip(nbrs, nbrs[1:]))
+        assert set(nbrs) == {b for a, b in g.edges if a == v} | {a for a, b in g.edges if b == v}
+        assert g.degree(v) == len(nbrs)
+        assert [w for w in range(n) if g.has_edge(v, w)] == nbrs
+
+
+def test_forest_routines_hold_a_long_path_in_linear_memory():
+    # labels, edges, index and neighbor lists take about 400 bytes per vertex;
+    # one neighbor bitmask per vertex would add n/16 bytes per vertex (n^2/2
+    # bits, 1 250 bytes per vertex and 25 MB at this size), so 1 KiB per
+    # vertex lies between the two
+    n = 20_000
+    tracemalloc.start()
+    try:
+        g = path(n)
+        forest = g.is_forest
+        size = alpha(g).size
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert forest and size == n // 2
+    assert peak < 1024 * n
 
 
 def test_path_generator_shape():

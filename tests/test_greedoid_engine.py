@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lmss.graph_core import mask_of, set_of
+from lmss.greedoid_engine import PrefixChain
 from lmss.stable_core import canonical_sets
 from lmss import (
     AccessibilityFailure,
@@ -224,6 +225,21 @@ class TestExchangeWitness:
         cert = ChainCertificate(p6, (frozenset({0}), frozenset({0, bad})), "greedy_peel")
         with pytest.raises(InvalidVertexError):
             chain_is_valid(cert, oracle=oracle)
+
+    @pytest.mark.parametrize("route", ["direct", "oracle"])
+    def test_prefix_chain_walk_gives_the_tuple_verdicts(self, p6, route):
+        # a PrefixChain is checked along its join order, a tuple prefix by
+        # prefix: the refusals and verdicts are the same
+        oracle = SubsetOracle(p6) if route == "oracle" else None
+        for bad in (99, -1, "a"):
+            with pytest.raises(InvalidVertexError):
+                chain_is_valid(ChainCertificate(p6, PrefixChain([0, bad]), "greedy_peel"),
+                               oracle=oracle)
+        for order, verdict in (([0, 0], False), ([0, 3], False), ([0, 2], True)):
+            prefixes = tuple(frozenset(order[:i + 1]) for i in range(len(order)))
+            for chain in (PrefixChain(order), prefixes):
+                cert = ChainCertificate(p6, chain, "greedy_peel")
+                assert chain_is_valid(cert, oracle=oracle) is verdict
 
 
 class TestForeignOracle:

@@ -18,7 +18,7 @@ from lmss import (
     psi_restrict_check,
 )
 from lmss import perfect_embedding
-from lmss.graph_core import bits_of, mask_of, set_of
+from lmss.graph_core import bits_of, flags_of, mask_of, set_of
 from lmss.perfect_embedding import fresh_partners
 from conftest import (
     forests,
@@ -48,11 +48,11 @@ class TestFreshPartners:
         g = Graph([f"v{i}" for i in range(8)], [(1, 2), (2, 3), (2, 4), (5, 6), (6, 7)])
         pairs = maximum_matching(g).edges
         assert pairs == ((1, 2), (5, 6))
-        assert list(fresh_partners(pairs, g.full_mask(), 8)) == [(0, 8), (3, 9), (4, 10), (7, 11)]
+        assert list(fresh_partners(pairs, flags_of(g.full_mask(), 8), 8)) == [(0, 8), (3, 9), (4, 10), (7, 11)]
         # the constructive chain's universe is N[S], here N[{3, 7}]
         assert closed_neighborhood(g, {3, 7}) == {2, 3, 6, 7}
-        assert list(fresh_partners(pairs, mask_of({2, 3, 6, 7}), 20)) == [(3, 20), (7, 21)]
-        assert list(fresh_partners(pairs, 0, 8)) == []
+        assert list(fresh_partners(pairs, flags_of(mask_of({2, 3, 6, 7}), 8), 20)) == [(3, 20), (7, 21)]
+        assert list(fresh_partners(pairs, flags_of(0, 8), 8)) == []
 
     def test_dropped_partner_is_caught(self, monkeypatch):
         step = perfect_embedding.fresh_partners

@@ -22,12 +22,14 @@ from lmss import (
     psi_restrict_check,
     stable_core,
 )
-from lmss.graph_core import bits_of, closed_mask_of, leaf_peel, set_of
+from lmss.graph_core import bits_of, flags_of, leaf_peel, set_of
 from conftest import (
+    closed_mask_of,
     cycle,
     cyclic_cores,
     graphs,
     labels_to_set,
+    naive_adjacency,
     naive_alpha,
     naive_is_local_max_stable,
     naive_omega,
@@ -117,10 +119,11 @@ class TestBranchAndBound:
     @given(st.one_of(graphs(), cyclic_cores()), st.data())
     def test_loop_matches_the_recursive_search(self, g, data):
         # the same mask on a random sub-universe and on the core its peel leaves
-        adj = g._adj
+        adj = naive_adjacency(g)
         universe = data.draw(st.integers(0, g.full_mask()))
-        for u in (universe, leaf_peel(adj, universe)[2], g.full_mask()):
-            assert stable_core._alpha_branch_bound(adj, u, None) == \
+        for u in (universe, leaf_peel(g._nbrs, flags_of(universe, g.vertex_count))[2],
+                  g.full_mask()):
+            assert stable_core._alpha_branch_bound(g._nbrs, u, None) == \
                 recursive_alpha_branch_bound(adj, u, None)
 
     def test_deep_search_alpha(self):
@@ -149,7 +152,8 @@ class TestBranchAndBound:
             if got is not None:
                 assert got == naive_is_local_max_stable(g, set_of(m))
             if stable_core.stable_mask(g, m):
-                core = leaf_peel(g._adj, closed_mask_of(g._adj, m))[2]
+                closed = closed_mask_of(naive_adjacency(g), m)
+                core = leaf_peel(g._nbrs, flags_of(closed, g.vertex_count))[2]
                 assert (got is None) == (core.bit_count() > cap)
             else:
                 assert got is False
@@ -191,7 +195,8 @@ class TestBranchAndBound:
             got = stable_core.in_psi_mask(g, s, cap, sub)
         except TooLargeForBruteForce:
             got = None
-        core = leaf_peel(g._adj, closed_mask_of(g._adj, s) & sub)[2]
+        closed = closed_mask_of(naive_adjacency(g), s) & sub
+        core = leaf_peel(g._nbrs, flags_of(closed, g.vertex_count))[2]
         assert (got is None) == (core.bit_count() > cap)
         if got is not None:
             keep = list(bits_of(sub))
