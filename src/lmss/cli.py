@@ -23,7 +23,7 @@ def _read_document(path: str) -> GraphDocument:
     if path == "-":
         data = sys.stdin.read()
     else:
-        with open(path, "r", encoding="utf-8") as f:
+        with open(path, "r", encoding="utf-8-sig") as f:
             data = f.read()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

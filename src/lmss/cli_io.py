@@ -51,9 +51,11 @@ def parse_graph(text) -> GraphDocument:
 
     Duplicate edges collapse with a DuplicateEdgeWarning; self-loops and
     references to undeclared labels are errors carrying the line number.
+    ``text`` is a str or UTF-8 bytes; one leading byte-order mark is dropped.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
+    text = text.removeprefix("\ufeff")  # as decoding with utf-8-sig would
     header = None
     labels: list[str] = []
     index: dict[str, int] = {}

@@ -7,11 +7,13 @@ text format parses back; Graph refuses any other label.
 
 Adjacency is kept as one ascending tuple of neighbors per vertex, and one
 rule holds across the package: neighbor lists for traversal, bitmasks only
-where subsets are enumerated or searched. The forest routines (peel,
-forest test, components, matchings, embedding, constructive chain) walk the
-lists with a bytearray of flags per vertex, so they stay O(n log n) in time
-and O(n) in memory. Neighbor masks are built from the lists only where they
-are used: by the subset tables, one per vertex of a small graph, and by the
+where subsets are enumerated or searched. The graph kernels (N[S] with the
+stability test, peel, components, embedding step, search) take the lists
+and a bytearray of flags, one byte per vertex, and return flags or lists,
+so the forest routines stay O(n log n) in time and O(n) in memory. Masks
+are built where the engine calls a kernel, once in the memoised
+Graph.peel, and for the subsets enumerated or searched: by the subset
+tables, one neighbor mask per vertex of a small graph, and by the
 exhaustive search, one per vertex it searches.
 """
 
@@ -68,11 +70,15 @@ def mask_of_flags(flags) -> int:
     return int(flags.translate(_DIGIT_OF_BYTE)[::-1], 2) if flags else 0
 
 
-def closed_flags(nbrs: Sequence, members) -> bytearray:
-    """N[S] as one byte per vertex, for the vertex set S flagged in ``members``."""
+def closed_flags(nbrs: Sequence, members) -> bytearray | None:
+    """N[S] as one byte per vertex, for the vertex set S flagged in ``members``,
+    or None as soon as an edge inside S shows that S is not stable: the one
+    walk over S's neighbors answers both."""
     closed = bytearray(members)
     for v in compress(range(len(members)), members):
         for w in nbrs[v]:
+            if members[w]:
+                return None
             closed[w] = 1
     return closed
 
@@ -98,27 +104,26 @@ def component_lists(nbrs: Sequence, active) -> list:
     return comps
 
 
-def leaf_peel(nbrs: Sequence, active) -> tuple[int, tuple, int]:
+def leaf_peel(nbrs: Sequence, active) -> tuple[bytearray, tuple, bytearray]:
     """Lowest-pendant peel of the subgraph induced on the vertices flagged in
     ``active`` (one byte per vertex, as flags_of gives; not modified).
 
     Repeatedly takes the lowest-index pendant x of what is left, pairs it
     with its neighbor y and deletes both; every vertex left isolated is
-    taken. Returns ``(taken_mask, pairs, leftover_mask)`` with ``pairs`` the
-    ``(x, y)`` moves in peel order. Each move keeps a maximum stable set and
-    a maximum matching within reach in any graph, so on a forest
-    ``taken_mask`` is a maximum stable set, ``pairs`` a maximum matching and
-    the leftover is 0. A non-zero leftover has no pendant or isolated
-    vertex, so ``active`` contains a cycle; the converse fails (deleting y
-    can break a cycle).
+    taken. Returns ``(taken, pairs, leftover)``: the taken and the leftover
+    vertices as flags like ``active``, and ``pairs`` the ``(x, y)`` moves in
+    peel order. Each move keeps a maximum stable set and a maximum matching
+    within reach in any graph, so on a forest ``taken`` is a maximum stable
+    set, ``pairs`` a maximum matching and no vertex is left over. A
+    non-empty leftover has no pendant or isolated vertex, so ``active``
+    contains a cycle; the converse fails (deleting y can break a cycle).
 
     Liveness is a bytearray and each live vertex keeps a count of its live
     neighbors. Pendants wait in a min-heap with lazy deletion (a popped
     vertex no longer live is skipped; a live one still has one neighbor,
     since a count only falls when a neighbor y is deleted and is then
     rechecked). A deletion visits only the neighbors of y, so the peel is
-    O(n log n) over the neighbor lists, plus two linear passes that turn
-    the flags into the returned masks.
+    O(n log n) over the neighbor lists, and no bitmask is built.
     """
     live = bytearray(active)
     took = bytearray(len(live))
@@ -154,8 +159,7 @@ def leaf_peel(nbrs: Sequence, active) -> tuple[int, tuple, int]:
                 elif not d:
                     took[z] = 1
                     live[z] = 0
-    leftover = mask_of_flags(live) if live.find(1) >= 0 else 0
-    return mask_of_flags(took), tuple(pairs), leftover
+    return took, tuple(pairs), live
 
 
 class Graph:
@@ -315,9 +319,11 @@ class Graph:
 
     @property
     def peel(self) -> tuple[int, tuple, int]:
-        """``leaf_peel`` of the whole graph, computed once."""
+        """``leaf_peel`` of the whole graph as ``(taken_mask, pairs,
+        leftover_mask)``, computed once."""
         if self._peel is None:
-            self._peel = leaf_peel(self._nbrs, b"\x01" * self.vertex_count)
+            took, pairs, live = leaf_peel(self._nbrs, b"\x01" * self.vertex_count)
+            self._peel = mask_of_flags(took), pairs, mask_of_flags(live)
         return self._peel
 
     # -- value semantics -------------------------------------------------

@@ -42,7 +42,7 @@ from .errors import (
 from .graph_core import (Graph, closed_flags, component_lists, flags_of, leaf_peel,
                          mask_of_flags, set_of)
 from .perfect_embedding import fresh_partners
-from .stable_core import SubsetOracle, canonical_sets
+from .stable_core import SubsetOracle, canonical_key, canonical_sets
 
 
 class PrefixChain(Sequence):
@@ -492,9 +492,8 @@ def verify_greedoid(g: Graph, cap: int | None = None,
                 exch_bad.extend((y, x) for y in group for x in misses)
 
     acc_sets = canonical_sets(acc_bad)
-    key = lambda s: (len(s), tuple(sorted(s)))
-    exch_pairs = sorted(((set_of(y), set_of(x)) for y, x in exch_bad),
-                        key=lambda p: (key(p[0]), key(p[1])))
+    exch_bad.sort(key=lambda p: (canonical_key(p[0]), canonical_key(p[1])))
+    exch_pairs = [(set_of(y), set_of(x)) for y, x in exch_bad]
     return GreedoidReport(
         family_size=len(members),
         accessibility_ok=not acc_sets,

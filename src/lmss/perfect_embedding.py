@@ -16,7 +16,7 @@ from typing import Iterator
 
 from . import stable_core
 from .errors import InternalError, InvalidVertexError
-from .graph_core import Graph
+from .graph_core import Graph, flags_of
 from .tree_matching import internal_cover_matching, maximum_matching
 
 
@@ -86,4 +86,4 @@ def psi_restrict_check(host: Graph, sub_vertices, a) -> bool:
     a = host.check_vertices_mask(a)[1]
     if a & ~sub:
         raise InvalidVertexError("a-set must lie inside the induced vertex set")
-    return stable_core.in_psi_mask(host, a, None, sub)
+    return stable_core.in_psi_mask(host, a, None, flags_of(sub, host.vertex_count))

@@ -7,10 +7,11 @@ member of the family by convention (the greedoid view requires it).
 Everything here is exact. alpha of a forest is the lowest-pendant peel of
 graph_core.leaf_peel (a heap-driven O(n log n) peel over the neighbor
 lists); alpha of any other graph is one exhaustive search of the whole
-graph. One kernel, in_psi_mask, answers membership: it checks stability and
-builds N[S] on the neighbor lists, peels N[S], and searches only the cyclic
-core the peel leaves, taking a vertex with at most one neighbour left
-without branching. Each search refuses more vertices than a configurable
+graph. One kernel, in_psi_mask, answers membership on flags (one byte per
+vertex): one walk over S's neighbour lists checks stability and builds
+N[S], the peel of N[S] follows, and the search covers only the cyclic core
+the peel leaves, taking a vertex with at most one neighbour left without
+branching. Each search refuses more vertices than a configurable
 cap. Neighbour masks are built only by the subset tables and, for the
 vertices it searches, by the search.
 """
@@ -19,11 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from operator import and_
 from typing import NamedTuple
 
 from .errors import InternalError, TooLargeForBruteForce, TooLargeForEnumeration
-from .graph_core import (Graph, bits_of, closed_flags, flags_of, leaf_peel, mask_of,
-                         mask_of_flags, set_of)
+from .graph_core import Graph, bits_of, closed_flags, flags_of, leaf_peel, mask_of, set_of
 
 DEFAULT_BRUTE_FORCE_CAP = 24
 DEFAULT_ENUMERATION_CAP = 20
@@ -46,10 +47,15 @@ class PsiFamily:
     members: tuple  # tuple[frozenset], ascending size then lexicographic
 
 
+def canonical_key(mask: int) -> tuple:
+    """The canonical order of vertex sets, read from their masks: by size,
+    then by the ascending list of indices."""
+    return mask.bit_count(), tuple(bits_of(mask))
+
+
 def canonical_sets(masks) -> list:
-    """Sort subset masks by (size, sorted index list) and freeze them."""
-    keyed = sorted([(m.bit_count(), tuple(bits_of(m))) for m in masks])
-    return [frozenset(bits) for _, bits in keyed]
+    """Sort subset masks into the canonical order and freeze them."""
+    return [frozenset(bits) for _, bits in sorted(map(canonical_key, masks))]
 
 
 class _SubsetTables(NamedTuple):
@@ -197,18 +203,9 @@ class SubsetOracle:
         return [m for m in self._masks if m.bit_count() == a]
 
 
-def _stable_flags(nbrs, members) -> bool:
-    """Stability of the vertex set flagged in ``members``."""
-    for v in compress(range(len(members)), members):
-        for w in nbrs[v]:
-            if members[w]:
-                return False
-    return True
-
-
 def stable_mask(g: Graph, m: int) -> bool:
     """Stability of a validated vertex bitmask."""
-    return _stable_flags(g._nbrs, flags_of(m, g.vertex_count))
+    return closed_flags(g._nbrs, flags_of(m, g.vertex_count)) is not None
 
 
 def is_stable(g: Graph, s) -> bool:
@@ -217,11 +214,13 @@ def is_stable(g: Graph, s) -> bool:
     return stable_mask(g, m)
 
 
-def _alpha_branch_bound(nbrs, universe: int, cap: int | None) -> int:
-    """A maximum stable set of the subgraph induced on ``universe``, as a
-    mask, by exhaustive search with pruning; more than ``cap`` vertices
-    (default 24) are refused. Only the vertices searched get a neighbour
-    mask, built from their lists ``nbrs[v]``.
+def _alpha_branch_bound(nbrs, active, cap: int | None) -> int:
+    """A maximum stable set of the subgraph induced on the vertices flagged
+    in ``active`` (one byte per vertex, like the other kernels), as a mask,
+    by exhaustive search with pruning; more than ``cap`` vertices (default
+    24) are refused before any mask is built. The search is the one kernel
+    that works on masks: it builds them for the vertices it searches only,
+    from their lists ``nbrs[v]``.
 
     Scans vertices in index order, include-branch first, improving strictly;
     the first optimum found is therefore the lexicographically least witness.
@@ -230,10 +229,11 @@ def _alpha_branch_bound(nbrs, universe: int, cap: int | None) -> int:
     One loop, so any depth works: it descends include branches, stacks the rest.
     """
     cap = DEFAULT_BRUTE_FORCE_CAP if cap is None else cap
-    n = universe.bit_count()
+    n = active.count(1)
     if n > cap:
         raise TooLargeForBruteForce(f"{n} vertices exceed the brute-force cap of {cap}")
-    adj = {v: mask_of(nbrs[v]) for v in bits_of(universe)}
+    adj = {v: mask_of(nbrs[v]) for v in compress(range(len(active)), active)}
+    universe = mask_of(adj)  # the vertices searched
     best_size = -1
     best_mask = 0
     pending = [(universe, 0, 0)]  # (avail, cur_mask, cur_size) per exclude branch
@@ -267,7 +267,7 @@ def alpha(g: Graph, cap: int | None = None) -> StableSetResult:
             raise InternalError("no pendant or isolated vertex in a forest")
         s = set_of(taken)
         return StableSetResult(set=s, size=len(s), method="forest_dp")
-    s = set_of(_alpha_branch_bound(g._nbrs, g.full_mask(), cap))
+    s = set_of(_alpha_branch_bound(g._nbrs, b"\x01" * g.vertex_count, cap))
     return StableSetResult(set=s, size=len(s), method="brute_force")
 
 
@@ -277,26 +277,29 @@ def enumerate_omega(g: Graph, cap: int | None = None) -> list:
     return canonical_sets(oracle.omega_masks())
 
 
-def in_psi_mask(g: Graph, mask: int, cap: int | None = None, within: int = -1) -> bool:
+def in_psi_mask(g: Graph, mask: int, cap: int | None = None, within=None) -> bool:
     """Family membership of a validated vertex bitmask, checked directly.
 
     True iff the set is stable and attains alpha on the subgraph induced by
-    N[set] & ``within`` (every vertex by default), which must hold the set.
-    Each peel move keeps alpha, so only the core the peel leaves is searched,
-    and only a core of more than ``cap`` vertices is refused. The empty set
-    qualifies.
+    N[set], cut to the vertices flagged in ``within`` (one byte per vertex;
+    None keeps every vertex), which must hold the set. The mask becomes
+    flags once, on entry: one walk over the set's neighbours checks
+    stability and builds N[set], and the peel and the search read those
+    flags. Each peel move keeps alpha, so only the core the peel leaves is
+    searched, and only a core of more than ``cap`` vertices is refused. The
+    empty set qualifies.
     """
     nbrs = g._nbrs
-    members = flags_of(mask, g.vertex_count)
-    if not _stable_flags(nbrs, members):
+    closed = closed_flags(nbrs, flags_of(mask, g.vertex_count))
+    if closed is None:
         return False
-    closed = closed_flags(nbrs, members)
-    if within != -1:
-        closed = flags_of(mask_of_flags(closed) & within, g.vertex_count)
+    if within is not None:
+        closed = bytearray(map(and_, closed, within))
     taken, _, leftover = leaf_peel(nbrs, closed)
-    if leftover:
-        taken |= _alpha_branch_bound(nbrs, leftover, cap)
-    return taken.bit_count() == mask.bit_count()
+    size = taken.count(1)
+    if 1 in leftover:
+        size += _alpha_branch_bound(nbrs, leftover, cap).bit_count()
+    return size == mask.bit_count()
 
 
 def is_local_max_stable(g: Graph, s, cap: int | None = None) -> bool:

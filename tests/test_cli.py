@@ -86,6 +86,15 @@ class TestCommands:
         code, out, _ = run(capsys, monkeypatch, ["alpha"], stdin=FIG1_TEXT)
         assert code == 0 and "alpha: 3" in out
 
+    def test_file_with_byte_order_mark(self, capsys, monkeypatch, fig1_file, tmp_path):
+        bom = tmp_path / "bom.graph"
+        bom.write_bytes(b"\xef\xbb\xbf" + FIG1_TEXT.encode())
+        plain = run(capsys, monkeypatch, ["alpha", fig1_file])
+        assert run(capsys, monkeypatch, ["alpha", str(bom)]) == plain
+        assert plain[0] == 0
+        piped = run(capsys, monkeypatch, ["alpha"], stdin=FIG1_TEXT)
+        assert run(capsys, monkeypatch, ["alpha"], stdin="\ufeff" + FIG1_TEXT) == piped
+
     def test_graph_file_is_closed(self, capsys, monkeypatch, fig1_file):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -59,6 +59,14 @@ class TestParseGraph:
     def test_bytes_input(self):
         assert parse_graph(K2_TEXT.encode()).graph.vertex_count == 2
 
+    def test_byte_order_mark_is_dropped(self):
+        # one leading BOM, as a str or as UTF-8 bytes, reads like the plain text
+        plain = parse_graph(K2_TEXT)
+        for text in ("\ufeff" + K2_TEXT, b"\xef\xbb\xbf" + K2_TEXT.encode()):
+            assert parse_graph(text) == plain
+        with pytest.raises(GraphSyntaxError, match="line 1"):
+            parse_graph("\ufeff\ufeff" + K2_TEXT)  # only one is a BOM
+
     def test_comments_and_blank_lines(self):
         text = "# a graph\n\np 2 1   # header\nv u\n\nv v\ne u v\n"
         assert parse_graph(text).graph.edge_count == 1

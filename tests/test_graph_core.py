@@ -20,12 +20,14 @@ from lmss import (
     is_stable,
     pendant_vertices,
 )
+from lmss.graph_core import closed_flags
 from conftest import (
     cyclic_cores,
     forests,
     graphs,
     labels_to_set,
     naive_closed_neighborhood,
+    naive_is_stable,
     path,
 )
 
@@ -343,6 +345,21 @@ def test_neighbor_lists_and_forest_test_agree_with_the_edges(g):
         assert set(nbrs) == {b for a, b in g.edges if a == v} | {a for a, b in g.edges if b == v}
         assert g.degree(v) == len(nbrs)
         assert [w for w in range(n) if g.has_edge(v, w)] == nbrs
+
+
+@given(st.one_of(graphs(), cyclic_cores(), forests()), st.data())
+def test_closed_flags_refuse_an_edge_inside_the_set(g, data):
+    # one walk over S: None exactly when S holds an edge, else N[S] as flags
+    n = g.vertex_count
+    s = data.draw(st.frozensets(st.integers(0, n - 1)))
+    members = bytearray(v in s for v in range(n))
+    got = closed_flags(g._nbrs, members)
+    if naive_is_stable(g, s):
+        closed = naive_closed_neighborhood(g, s)
+        assert got == bytearray(v in closed for v in range(n))
+    else:
+        assert got is None
+    assert members == bytearray(v in s for v in range(n))  # not modified
 
 
 def test_forest_routines_hold_a_long_path_in_linear_memory():

@@ -3,9 +3,10 @@
 from hypothesis import given, strategies as st
 
 from lmss import Graph, alpha, is_local_max_stable, maximum_matching
-from lmss.graph_core import flags_of, leaf_peel
+from lmss.graph_core import flags_of, leaf_peel, mask_of_flags
 from conftest import (
     cycle,
+    cyclic_cores,
     forests,
     graphs,
     naive_adjacency,
@@ -18,8 +19,10 @@ from conftest import (
 
 
 def peel(g: Graph, mask: int):
-    """The kernel on the subgraph of ``g`` induced on ``mask``."""
-    return leaf_peel(g._nbrs, flags_of(mask, g.vertex_count))
+    """The kernel on the subgraph of ``g`` induced on ``mask``, with its
+    taken and leftover flags read back as masks."""
+    taken, pairs, leftover = leaf_peel(g._nbrs, flags_of(mask, g.vertex_count))
+    return mask_of_flags(taken), pairs, mask_of_flags(leftover)
 
 
 @st.composite
@@ -73,6 +76,12 @@ def test_forest_witnesses_match_quadratic_scans(g, universe_bits):
         for x, y in peel(g, u)[1]:
             covered |= (1 << x) | (1 << y)
         assert covered == naive_mask_matching_cover(naive_adjacency(g), u)
+
+
+@given(st.one_of(graphs(), cyclic_cores(), forests()))
+def test_graph_peel_is_the_kernel_read_as_masks(g):
+    # the memo converts the kernel's flags once; every reader gets masks
+    assert g.peel == peel(g, g.full_mask())
 
 
 @given(graphs_with_probe())
