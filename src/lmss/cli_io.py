@@ -10,6 +10,16 @@ File format (line oriented, '#' starts a comment):
 Explicit vertex declaration keeps isolated vertices and custom labels intact.
 Output is canonical: vertex sets are listed in index order, families ascend
 by size then lexicographically, so equal inputs yield byte-identical bytes.
+
+JSON output is the text of json.dumps(data, indent=2, ensure_ascii=False),
+written by a small recursive writer: json.dumps with an indent runs the
+pure-Python encoder, while the writer joins each list once and encodes its
+strings with the C encoder's encode_basestring. A value it does not write
+itself goes to json.dumps whole, so every value gives json.dumps's text or
+its exception.
+
+The parser checks labels and edges as it reads them, and builds its graph
+without Graph's own validation, which would repeat those checks.
 """
 
 from __future__ import annotations
@@ -31,6 +41,8 @@ from .stable_core import PsiFamily, StableSetResult
 from .tree_matching import KonigEgervaryReport, Matching
 
 FORMAT_VERSION = "1"
+
+_encode_str = json.encoder.encode_basestring  # the C encoder's, as ensure_ascii=False uses
 
 
 class DuplicateEdgeWarning(UserWarning):
@@ -119,7 +131,9 @@ def parse_graph(text) -> GraphDocument:
         raise GraphSyntaxError(1, f"declared {n} vertices but found {len(labels)}")
     if edge_lines != m:
         raise GraphSyntaxError(1, f"declared {m} edges but found {edge_lines}")
-    return GraphDocument(graph=Graph(labels, edges), source="file",
+    # every label is a token (no whitespace or '#') and distinct, and every
+    # edge is normalised, distinct and loop-free: Graph's checks would all pass
+    return GraphDocument(graph=Graph._trusted(tuple(labels), index, edges), source="file",
                          metadata={"format_version": FORMAT_VERSION})
 
 
@@ -235,6 +249,67 @@ def _emit_dot(g: Graph, marked=None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _string_pairs(x, ind: str) -> str | None:
+    """The items of the list ``x`` written at the indent ``ind`` and joined,
+    when every one is a list or tuple of two strings (as edges are), else
+    None."""
+    if not set(map(type, x)) <= {list, tuple}:
+        return None
+    inner = ind + "  "
+    head, mid, tail = "[" + inner, "," + inner, ind + "]"
+    try:
+        return ("," + ind).join([head + _encode_str(a) + mid + _encode_str(b) + tail
+                                 for a, b in x])
+    except (TypeError, ValueError):  # an item of another length, or not of strings
+        return None
+
+
+def _json_text(x, ind: str) -> str:
+    """``x`` as json.dumps(x, indent=2, ensure_ascii=False) writes it at the
+    indent ``ind`` (a newline and the spaces of its depth), for str keys.
+
+    One join per list or dict: a list of strings is one encode_basestring
+    pass, a list of string pairs one more, and every other scalar goes to
+    json.dumps, whose one-line form runs the C encoder (and refuses what json
+    cannot write, with the same TypeError). A non-str key raises TypeError
+    too, for _json_dump to fall back.
+    """
+    if isinstance(x, str):
+        return _encode_str(x)
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = ind + "  "
+        sep = "," + inner
+        try:  # a list of strings, as most of the records hold
+            body = sep.join(map(_encode_str, x))
+        except TypeError:
+            body = _string_pairs(x, inner) or sep.join([_json_text(v, inner) for v in x])
+        return "[" + inner + body + ind + "]"
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = ind + "  "
+        items = []
+        for k, v in x.items():
+            if not isinstance(k, str):
+                raise TypeError("non-str key")
+            items.append(_encode_str(k) + ": " + _json_text(v, inner))
+        return "{" + inner + ("," + inner).join(items) + ind + "}"
+    return json.dumps(x)
+
+
+def _json_dump(data) -> str:
+    """json.dumps(data, indent=2, ensure_ascii=False), byte for byte: the
+    text of _json_text, or json.dumps's own text or exception for a value
+    _json_text does not write (a non-str key, a type json refuses, a
+    circular or too deep nesting)."""
+    try:
+        return _json_text(data, "\n")
+    except (TypeError, RecursionError):
+        return json.dumps(data, indent=2, ensure_ascii=False)
+
+
 def emit(obj, fmt: str = "text", graph: Graph | None = None) -> str:
     """Serialize a graph document or result record.
 
@@ -244,7 +319,7 @@ def emit(obj, fmt: str = "text", graph: Graph | None = None) -> str:
     and '"' in its quoted labels.
     """
     if fmt == "json":
-        return json.dumps(to_jsonable(obj, graph), indent=2, ensure_ascii=False) + "\n"
+        return _json_dump(to_jsonable(obj, graph)) + "\n"
     if fmt == "text":
         if isinstance(obj, (Graph, GraphDocument)):
             return _emit_text_graph(obj)

@@ -15,6 +15,13 @@ are built where the engine calls a kernel, once in the memoised
 Graph.peel, and for the subsets enumerated or searched: by the subset
 tables, one neighbor mask per vertex of a small graph, and by the
 exhaustive search, one per vertex it searches.
+
+Graph() validates its labels and edges, then hands them to one private
+builder, which sorts the edges and makes the neighbor tuples. Two callers
+whose parts are already valid call the builder directly through
+Graph._trusted: the text parser, which checks each label and edge as it
+reads it, and the perfect embedding, which grows its host from a graph's
+own tuples, labels and index.
 """
 
 from __future__ import annotations
@@ -199,22 +206,39 @@ class Graph:
             if u == v:
                 raise SelfLoopError(f"self-loop at vertex {labels[u]!r}")
             norm.append((u, v) if u < v else (v, u))
-        norm.sort()  # parallel edges become neighbors and collapse
-        if any(map(eq, norm, islice(norm, 1, None))):
-            norm = [e for e, _ in groupby(norm)]
-        self.edges = edges = tuple(norm)
-        del norm  # freed before the neighbor lists grow
-        # in edge order, u's lower neighbors (edges (w, u)) precede its higher
-        # ones (edges (u, w)), and each run ascends: the lists come out sorted
-        nbrs = [[] for _ in range(n)]
-        for u, v in edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        for v in range(n):  # one list at a time, so the lists and tuples never all coexist
-            nbrs[v] = tuple(nbrs[v])
+        self._build(labels, positions, norm)
+
+    @classmethod
+    def _trusted(cls, labels: tuple, index: dict, edges: list, nbrs=None) -> "Graph":
+        """A graph from parts its caller has already checked, without
+        __init__'s validation: see _build for what each part must be."""
+        g = cls.__new__(cls)
+        g._build(labels, index, edges, nbrs)
+        return g
+
+    def _build(self, labels: tuple, index: dict, edges: list, nbrs=None) -> None:
+        """Fill in the graph from checked parts: ``labels`` a tuple of valid,
+        distinct labels, ``index`` each label's position, ``edges`` a list of
+        (u, v) with 0 <= u < v < n in any order, parallel ones allowed (the
+        list is sorted in place). ``nbrs``, when given, holds the ascending
+        neighbor tuples of the collapsed edges; otherwise they are built here."""
+        edges.sort()  # parallel edges become neighbors and collapse
+        if any(map(eq, edges, islice(edges, 1, None))):
+            edges = [e for e, _ in groupby(edges)]
+        self.edges = edges = tuple(edges)
+        n = len(labels)
+        if nbrs is None:
+            # in edge order, u's lower neighbors (edges (w, u)) precede its higher
+            # ones (edges (u, w)), and each run ascends: the lists come out sorted
+            nbrs = [[] for _ in range(n)]
+            for u, v in edges:
+                nbrs[u].append(v)
+                nbrs[v].append(u)
+            for v in range(n):  # one list at a time, so the lists and tuples never all coexist
+                nbrs[v] = tuple(nbrs[v])
         self.labels = labels
         self.vertex_count = n
-        self._index = positions
+        self._index = index
         self._nbrs = tuple(nbrs)
         self._forest = None
         self._peel = None

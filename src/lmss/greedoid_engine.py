@@ -12,7 +12,10 @@ in _membership: the oracle's table lookup when a SubsetOracle is passed
 (refused with ValueError when it was built for a different graph),
 otherwise the direct closed-neighborhood check of stable_core.in_psi_mask
 (the neighborhood peel, then exhaustive search of the cyclic core it leaves,
-refused above ``cap``). The engine then works on vertex bitmasks and
+refused above ``cap``). The direct constructive chain is the one route that
+reads more than the verdict: stable_core.psi_walk hands it the walk over
+N[S] and the peel of N[S] that decided membership, so each call walks and
+peels N[S] once. The engine then works on vertex bitmasks and
 join orders, and freezes sets only at the public boundary: a chain's
 prefixes only when they are read.
 """
@@ -39,7 +42,7 @@ from .errors import (
     NotPerfectTreeError,
     SizeMismatchError,
 )
-from .graph_core import (Graph, closed_flags, component_lists, flags_of, leaf_peel,
+from .graph_core import (Graph, closed_flags, component_lists, flags_of,
                          mask_of_flags, set_of)
 from .perfect_embedding import fresh_partners
 from .stable_core import SubsetOracle, canonical_key, canonical_sets
@@ -352,20 +355,22 @@ def _component_chain(nb, live, deg, comp: list, pendants: list, chosen) -> list:
     return head + base + tail[::-1]
 
 
-def _constructive_chain_order(g: Graph, s_mask: int) -> list:
+def _constructive_chain_order(g: Graph, walk) -> list:
     """Embed N[S] into a perfect forest by embed_perfect's fresh-partner
     step on the leaf-greedy matching of N[S]. Then join the orders of its
     components, which are perfect trees ordered by their lowest vertex.
 
+    ``walk`` is stable_core.closed_peel's ``(members, closed, peel)`` for S:
+    S and N[S] as flags and the peel of N[S], whose pairs are that matching.
     The embedded forest is g's neighbor lists, each fresh vertex appended
     to its partner's list (above every old index, so the lists stay sorted),
     with the vertices outside N[S] flagged dead. Each component's vertices
-    then give its live degrees and pendants."""
+    then give its live degrees and pendants. ``walk``'s flags are updated
+    in place."""
     n = g.vertex_count
-    chosen = flags_of(s_mask, n)
-    live = closed_flags(g._nbrs, chosen)
+    chosen, live, peel = walk
     nb = list(g._nbrs)
-    for v, w in fresh_partners(leaf_peel(nb, live)[1], live, n):
+    for v, w in fresh_partners(peel[1], live, n):
         nb[v] += (w,)
         nb.append((v,))
     live += b"\x01" * (len(nb) - n)
@@ -402,19 +407,27 @@ def chain_decompose(g: Graph, s, strategy: str = "greedy_peel",
     tree orders one after another.
 
     Membership is read from the oracle when one is given, else checked
-    directly. The constructive chain is re-checked against the family only
-    when an oracle is given, where each check is one table lookup.
+    directly; the direct constructive route reads on from that check's walk
+    and peel of N[S] (stable_core.psi_walk). The constructive chain is
+    re-checked against the family only when an oracle is given, where each
+    check is one table lookup.
     """
     _, s_mask = g.check_vertices_mask(s)
-    in_psi = _membership(g, oracle, cap)
-    if not in_psi(s_mask):
+    walk = None
+    if strategy == "constructive" and oracle is None:
+        walk = stable_core.psi_walk(g, s_mask, cap)
+        member = walk is not None
+    else:
+        in_psi = _membership(g, oracle, cap)
+        member = in_psi(s_mask)
+    if not member:
         raise NotInPsiError("target set is not a local maximum stable set")
     if strategy == "greedy_peel":
         order = _greedy_peel_order(in_psi, s_mask)
     elif strategy == "constructive":
         if not g.is_forest:
             raise NotAForestError("constructive strategy requires a forest")
-        order = _constructive_chain_order(g, s_mask)
+        order = _constructive_chain_order(g, walk or stable_core.closed_peel(g, s_mask))
         masks = accumulate((1 << v for v in order), or_)
         if oracle is not None and not all(map(in_psi, masks)):  # pragma: no cover - theory
             raise InternalError("constructive chain left the family")

@@ -6,6 +6,11 @@ edges is then a perfect matching, and alpha is unchanged because both the
 order and the matching number grew by the same amount. Using the
 internal-cover matching instead makes every new edge land on a pendant or
 isolated vertex of the original forest.
+
+The host is grown from the forest's own parts: its labels, index and
+neighbor tuples, each fresh vertex appended to its partner's tuple, and its
+sorted edges merged with the added ones. Only the fresh labels are new, and
+they are checked for freshness as they are made.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import Iterator
 from . import stable_core
 from .errors import InternalError, InvalidVertexError
 from .graph_core import Graph, flags_of
-from .tree_matching import internal_cover_matching, maximum_matching
+from .tree_matching import internal_cover_matching, leaf_greedy_pairs
 
 
 @dataclass(frozen=True)
@@ -29,13 +34,16 @@ class Embedding:
     added_edges: tuple  # tuple[(original index, new index)] in host indices
 
 
-def _fresh_label(base: str, taken: set) -> str:
+def _fresh_label(base: str, index: dict) -> str:
+    """The first of base_w, base_w2, base_w3, ... not in ``index``, entered
+    there at the next position. A suffix of '_w' and digits keeps a valid
+    label valid, so freshness is the one check a fresh label needs."""
     cand = f"{base}_w"
     k = 2
-    while cand in taken:
+    while cand in index:
         cand = f"{base}_w{k}"
         k += 1
-    taken.add(cand)
+    index[cand] = len(index)
     return cand
 
 
@@ -59,12 +67,20 @@ def embed_perfect(g: Graph, mode: str = "any") -> Embedding:
     """
     if mode not in ("any", "pendant_only"):
         raise ValueError(f"unknown mode {mode!r}")
-    matching = maximum_matching(g) if mode == "any" else internal_cover_matching(g)
+    pairs = leaf_greedy_pairs(g) if mode == "any" else internal_cover_matching(g).edges
     n = g.vertex_count
-    added = tuple(fresh_partners(matching.edges, b"\x01" * n, n))
-    taken = set(g.labels)
-    labels = list(g.labels) + [_fresh_label(g.labels[v], taken) for v, _ in added]
-    host = Graph(labels, g.edges + added) if added else g
+    added = tuple(fresh_partners(pairs, b"\x01" * n, n))
+    host = g
+    if added:  # g's parts, grown: a fresh partner w > every old index keeps each tuple sorted
+        labels = list(g.labels)
+        index = dict(g._index)
+        nbrs = list(g._nbrs)
+        for v, w in added:
+            labels.append(_fresh_label(labels[v], index))
+            nbrs[v] += (w,)
+            nbrs.append((v,))
+        # g.edges and added are two sorted runs, which one timsort merges
+        host = Graph._trusted(tuple(labels), index, [*g.edges, *added], nbrs)
     if not host.is_forest or 2 * len(host.peel[1]) != host.vertex_count:
         raise InternalError("embedding failed to produce a perfect forest")
     if host.peel[0].bit_count() != g.peel[0].bit_count():

@@ -7,13 +7,15 @@ member of the family by convention (the greedoid view requires it).
 Everything here is exact. alpha of a forest is the lowest-pendant peel of
 graph_core.leaf_peel (a heap-driven O(n log n) peel over the neighbor
 lists); alpha of any other graph is one exhaustive search of the whole
-graph. One kernel, in_psi_mask, answers membership on flags (one byte per
-vertex): one walk over S's neighbour lists checks stability and builds
-N[S], the peel of N[S] follows, and the search covers only the cyclic core
-the peel leaves, taking a vertex with at most one neighbour left without
-branching. Each search refuses more vertices than a configurable
-cap. Neighbour masks are built only by the subset tables and, for the
-vertices it searches, by the search.
+graph. One kernel, psi_walk (in_psi_mask is its verdict), answers
+membership on flags (one byte per vertex): closed_peel's one walk over S's
+neighbour lists checks stability and builds N[S], the peel of N[S]
+follows, and the search covers only the cyclic core the peel leaves,
+taking a vertex with at most one neighbour left without branching. A
+member's walk and peel are returned, for the constructive chain to read on.
+Each search refuses more vertices than a configurable cap. Neighbour masks
+are built only by the subset tables and, for the vertices it searches, by
+the search.
 """
 
 from __future__ import annotations
@@ -277,29 +279,48 @@ def enumerate_omega(g: Graph, cap: int | None = None) -> list:
     return canonical_sets(oracle.omega_masks())
 
 
-def in_psi_mask(g: Graph, mask: int, cap: int | None = None, within=None) -> bool:
-    """Family membership of a validated vertex bitmask, checked directly.
-
-    True iff the set is stable and attains alpha on the subgraph induced by
-    N[set], cut to the vertices flagged in ``within`` (one byte per vertex;
-    None keeps every vertex), which must hold the set. The mask becomes
-    flags once, on entry: one walk over the set's neighbours checks
-    stability and builds N[set], and the peel and the search read those
-    flags. Each peel move keeps alpha, so only the core the peel leaves is
-    searched, and only a core of more than ``cap`` vertices is refused. The
-    empty set qualifies.
-    """
+def closed_peel(g: Graph, mask: int, within=None):
+    """The one walk over N[S] and its peel, for the set S of a validated
+    vertex bitmask: ``(members, closed, peel)`` with S and N[S] as flags (one
+    byte per vertex), N[S] cut to the vertices flagged in ``within`` (None
+    keeps every vertex), and ``peel`` the leaf_peel of that cut. One walk
+    over S's neighbour lists checks stability and builds N[S]; None when
+    S is not stable."""
     nbrs = g._nbrs
-    closed = closed_flags(nbrs, flags_of(mask, g.vertex_count))
+    members = flags_of(mask, g.vertex_count)
+    closed = closed_flags(nbrs, members)
     if closed is None:
-        return False
+        return None
     if within is not None:
         closed = bytearray(map(and_, closed, within))
-    taken, _, leftover = leaf_peel(nbrs, closed)
+    return members, closed, leaf_peel(nbrs, closed)
+
+
+def psi_walk(g: Graph, mask: int, cap: int | None = None, within=None):
+    """Family membership of a validated vertex bitmask, checked directly:
+    closed_peel's ``(members, closed, peel)`` when the set is a member,
+    which the constructive chain reads on, else None.
+
+    The set is a member iff it is stable and attains alpha on the subgraph
+    induced by N[set], cut to the vertices flagged in ``within`` (one byte
+    per vertex; None keeps every vertex), which must hold the set. Each
+    peel move keeps alpha, so only the core the peel leaves is searched,
+    and only a core of more than ``cap`` vertices is refused. The empty
+    set qualifies.
+    """
+    walk = closed_peel(g, mask, within)
+    if walk is None:
+        return None
+    taken, _, leftover = walk[2]
     size = taken.count(1)
     if 1 in leftover:
-        size += _alpha_branch_bound(nbrs, leftover, cap).bit_count()
-    return size == mask.bit_count()
+        size += _alpha_branch_bound(g._nbrs, leftover, cap).bit_count()
+    return walk if size == mask.bit_count() else None
+
+
+def in_psi_mask(g: Graph, mask: int, cap: int | None = None, within=None) -> bool:
+    """psi_walk's verdict as a bool: the one direct membership check."""
+    return psi_walk(g, mask, cap, within) is not None
 
 
 def is_local_max_stable(g: Graph, s, cap: int | None = None) -> bool:

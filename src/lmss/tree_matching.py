@@ -53,14 +53,21 @@ def _require_forest(g: Graph, who: str):
         raise NotAForestError(f"{who} requires an acyclic graph")
 
 
+def leaf_greedy_pairs(g: Graph) -> tuple:
+    """The leaf-greedy maximum matching of a forest as the peel leaves it:
+    ``(pendant, neighbor)`` pairs in peel order, which maximum_matching
+    sorts into a Matching."""
+    _require_forest(g, "maximum_matching")
+    return g.peel[1]
+
+
 def maximum_matching(g: Graph) -> Matching:
     """Leaf-greedy maximum matching of a forest.
 
     Repeatedly matches the lowest-index pendant of the remaining graph to
     its unique neighbor and deletes both; isolated vertices are dropped.
     """
-    _require_forest(g, "maximum_matching")
-    return Matching.from_edges(g.peel[1])
+    return Matching.from_edges(leaf_greedy_pairs(g))
 
 
 def internal_cover_matching(g: Graph) -> Matching:

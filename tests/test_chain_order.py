@@ -12,12 +12,15 @@ from lmss import (
     ChainCertificate,
     FamilySpec,
     Graph,
+    NotAForestError,
+    NotInPsiError,
     SubsetOracle,
     alpha,
     chain_decompose,
     chain_is_valid,
     generate,
 )
+from lmss import graph_core, greedoid_engine, stable_core
 from lmss.greedoid_engine import PrefixChain
 from lmss.graph_core import mask_of, set_of
 from lmss.stable_core import in_psi_mask
@@ -140,3 +143,53 @@ def test_constructive_certificate_memory_is_linear_in_the_set():
         tracemalloc.stop()
     assert len(cert.chain) == len(s) > 2000 and cert.chain[-1] == s
     assert peak < 5_000_000, peak
+
+
+# -- the constructive route's one walk over N[S] -------------------------------
+
+
+@given(forests(max_n=14), st.integers(0, (1 << 14) - 1))
+def test_constructive_routes_give_equal_certificates(g, bits):
+    target = g.peel[0] & bits
+    if not in_psi_mask(g, target):
+        target = g.peel[0]
+    s = set_of(target)
+    assert chain_decompose(g, s, "constructive") == \
+        chain_decompose(g, s, "constructive", oracle=SubsetOracle(g))
+
+
+@pytest.mark.parametrize("edges, s, error", [
+    ([(0, 1), (1, 2)], {0, 1}, NotInPsiError),  # not stable, on a forest
+    ([(0, 1), (1, 2)], {1}, NotInPsiError),  # stable, no member: {0, 2} is larger in N[{1}]
+    ([(0, 1), (1, 2), (0, 2), (0, 3)], {3}, NotAForestError),  # a member on a triangle
+    ([(0, 1), (1, 2), (0, 2), (0, 3)], {0}, NotInPsiError),  # no member, on a triangle
+    ([(0, 1), (1, 2), (0, 2), (0, 3)], {0, 1}, NotInPsiError),  # not stable, on a triangle
+])
+def test_constructive_refusals_keep_their_order(edges, s, error):
+    g = Graph([f"v{i}" for i in range(4)], edges)
+    for oracle in (None, SubsetOracle(g)):
+        with pytest.raises(error):
+            chain_decompose(g, s, "constructive", oracle=oracle)
+
+
+def test_constructive_chain_peels_the_neighborhood_once(monkeypatch):
+    # the direct route's membership check walks and peels N[S], and the chain
+    # reads that peel on; with an oracle, the chain peels N[S] itself
+    cases = []
+    for n, oracle in ((300, False), (12, True)):
+        g = generate(FamilySpec("random_forest", n=n, seed=4, delete_prob=0.15))
+        cases.append((g, alpha(g).set, SubsetOracle(g) if oracle else None))  # g.peel memoised
+    peel = graph_core.leaf_peel
+    calls = []
+
+    def counted(nbrs, active):
+        calls.append(len(active))
+        return peel(nbrs, active)
+
+    for module in (graph_core, stable_core, greedoid_engine):
+        if hasattr(module, "leaf_peel"):
+            monkeypatch.setattr(module, "leaf_peel", counted)
+    for g, s, oracle in cases:
+        calls.clear()
+        cert = chain_decompose(g, s, "constructive", oracle=oracle)
+        assert calls == [g.vertex_count] and cert.chain[-1] == s

@@ -15,8 +15,13 @@ from lmss import (
     UnsupportedFormatError,
     alpha,
     chain_decompose,
+    embed_perfect,
     emit,
+    enumerate_psi,
+    exchange_witness,
     generate,
+    internal_cover_matching,
+    maximum_matching,
     parse_graph,
     verify_greedoid,
     verify_konig_egervary,
@@ -241,3 +246,83 @@ class TestEmit:
         a = emit(verify_greedoid(fig1), "json", graph=fig1)
         b = emit(verify_greedoid(fig1), "json", graph=fig1)
         assert a == b
+
+
+# -- the JSON writer against the stdlib encoder --------------------------------
+
+
+def old_json(data) -> str:
+    """What emit wrote before it had its own JSON writer."""
+    return json.dumps(data, indent=2, ensure_ascii=False) + "\n"
+
+
+def outcome(write, data):
+    """The text ``write`` gives for ``data``, or the type of what it raised."""
+    try:
+        return write(data)
+    except Exception as exc:  # the type of what was raised is the outcome
+        return type(exc)
+
+
+json_text = st.text(st.characters(), max_size=5)  # control characters and non-ASCII too
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.sampled_from([0, 1, -1, True, False, 1.0]),
+    st.integers(-10**40, 10**40), st.floats(), st.sampled_from([-0.0, float("nan")]),
+    json_text)
+json_keys = st.one_of(json_text, st.integers(), st.floats(), st.booleans(), st.none(),
+                      st.tuples(st.integers()))  # a tuple key is refused
+json_values = st.recursive(
+    st.one_of(json_scalars, st.sampled_from([set(), b"x"])),  # values json refuses
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4), st.lists(kids, max_size=3).map(tuple),
+        st.dictionaries(json_keys, kids, max_size=4),
+        st.lists(st.lists(json_text, min_size=2, max_size=2), max_size=4),  # string pairs
+        st.lists(st.one_of(json_text, st.tuples(json_text, json_text)), max_size=4)),
+    max_leaves=20)
+
+
+class TestJsonWriter:
+    @given(json_values)
+    def test_same_text_or_same_exception_as_json_dumps(self, value):
+        data = {"v": value}
+        assert outcome(lambda d: emit(d, "json"), data) == outcome(old_json, data)
+
+    @pytest.mark.parametrize("value", [
+        [], {}, [[]], [{}], {"a": {}, "b": []}, ((), ("x",)), ["ab", ["c", "d"]],
+        [["a", "b"], ["c"]], [["a", "b"], ("c", "d")], [{"a": "b", "c": "d"}], ["é", "\x00\x1f\"\\"],
+        [10**30, -10**30, True, 1, False, 0, None], [float("nan"), float("inf"),
+                                                     float("-inf"), -0.0, 1e300],
+        {1: "a", 1.5: "b", True: "c", None: "d"}, {(1,): 2}, [set()], {"a": object()}])
+    def test_edge_values(self, value):
+        data = {"v": value}
+        assert outcome(lambda d: emit(d, "json"), data) == outcome(old_json, data)
+
+    def test_circular_deep_and_huge_values_raise_like_json_dumps(self):
+        loop = []
+        loop.append(loop)
+        deep = []
+        for _ in range(5000):
+            deep = [deep]
+        huge = 10**5000  # past the int-to-str digit limit
+        for value in (loop, deep, huge):
+            data = {"v": value}
+            assert outcome(lambda d: emit(d, "json"), data) == outcome(old_json, data)
+
+    def test_every_record_type(self, fig1, fig4):
+        forest = Graph(["é", "ü#x".replace("#", "_"), " ".strip() or "z", "c", "d"],
+                       [(0, 1), (1, 2), (1, 3)])
+        records = []
+        for g in (fig1, fig4, forest):
+            doc = GraphDocument(g, "family", {"family": "x", "note": "ä \"q\""})
+            records += [(doc, None), (g, None), (alpha(g), g), (enumerate_psi(g), None),
+                        (verify_greedoid(g), g), ({"plain": [1, "a"]}, None)]
+            s = alpha(g).set
+            if g.is_forest:
+                members = sorted(enumerate_psi(g).members, key=len)
+                records += [(maximum_matching(g), g), (internal_cover_matching(g), g),
+                            (verify_konig_egervary(g), None),
+                            (chain_decompose(g, s, "constructive"), None),
+                            (exchange_witness(g, members[0], members[1]), g)]
+                records += [(embed_perfect(g, mode), None) for mode in ("any", "pendant_only")]
+        for record, g in records:
+            assert emit(record, "json", graph=g) == old_json(to_jsonable(record, g))

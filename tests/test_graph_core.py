@@ -13,11 +13,14 @@ from lmss import (
     chain_decompose,
     closed_neighborhood,
     decompose,
+    embed_perfect,
+    emit,
     exchange_witness,
     generate,
     induced_subgraph,
     is_local_max_stable,
     is_stable,
+    parse_graph,
     pendant_vertices,
 )
 from lmss.graph_core import closed_flags
@@ -360,6 +363,52 @@ def test_closed_flags_refuse_an_edge_inside_the_set(g, data):
     else:
         assert got is None
     assert members == bytearray(v in s for v in range(n))  # not modified
+
+
+def assert_same_graph(got: Graph, want: Graph) -> None:
+    """Equal in every field a build fills in, and in what is derived from them."""
+    assert got.labels == want.labels and got.edges == want.edges
+    assert got._nbrs == want._nbrs and got._index == want._index
+    assert got.vertex_count == want.vertex_count and hash(got) == hash(want)
+    assert got.is_forest == want.is_forest and got.peel == want.peel
+
+
+def validated_host(g: Graph, added) -> Graph:
+    """An embedding host built the validating way: g's labels plus, for each
+    fresh partner, the first of base_w, base_w2, ... not yet taken, and g's
+    edges plus the added ones."""
+    labels = list(g.labels)
+    for v, _ in added:
+        cand, k = f"{labels[v]}_w", 2
+        while cand in labels:
+            cand, k = f"{labels[v]}_w{k}", k + 1
+        labels.append(cand)
+    return Graph(labels, list(g.edges) + list(added))
+
+
+@given(st.one_of(graphs(), cyclic_cores(), forests()))
+@example(path(4))  # perfect: the host is g itself
+@example(Graph(["a", "a_w", "a_w2", "b"], [(1, 3)]))  # isolated vertices; a takes a_w3
+def test_trusted_builds_equal_validated_builds(g):
+    # parse_graph and embed_perfect build without Graph's checks, from parts
+    # already checked; the graphs must be those the checks would build
+    assert_same_graph(parse_graph(emit(g)).graph, Graph(g.labels, g.edges))
+    if g.is_forest:
+        for mode in ("any", "pendant_only"):
+            emb = embed_perfect(g, mode)
+            assert_same_graph(emb.host, validated_host(g, emb.added_edges))
+
+
+def test_embedding_host_corner_cases():
+    p4 = path(4)
+    assert embed_perfect(p4).host is p4
+    g = Graph(["a", "a_w", "b", "x"], [(1, 2)])  # a and x isolated, a_w taken
+    for mode in ("any", "pendant_only"):
+        host = embed_perfect(g, mode).host
+        assert host.labels == ("a", "a_w", "b", "x", "a_w2", "x_w")
+        assert host.edges == ((0, 4), (1, 2), (3, 5))
+        assert [host.neighbors(v) for v in range(6)] == [[4], [2], [1], [5], [0], [3]]
+        assert host.index_of("a_w2") == 4 and host.index_of("x_w") == 5
 
 
 def test_forest_routines_hold_a_long_path_in_linear_memory():

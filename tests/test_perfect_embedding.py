@@ -106,8 +106,12 @@ class TestEmbedPerfect:
             assert any(v == 2 for v, _ in emb.added_edges)
 
     def test_requires_forest(self, c4):
-        with pytest.raises(NotAForestError):
+        # each mode refuses in the words of the matching it starts from
+        with pytest.raises(NotAForestError, match="^maximum_matching requires an acyclic graph$"):
             embed_perfect(c4)
+        with pytest.raises(NotAForestError,
+                           match="^internal_cover_matching requires an acyclic graph$"):
+            embed_perfect(c4, "pendant_only")
 
     def test_rejects_unknown_mode(self, p4):
         with pytest.raises(ValueError):
