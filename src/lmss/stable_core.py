@@ -15,14 +15,16 @@ taking a vertex with at most one neighbour left without branching. A
 member's walk and peel are returned, for the constructive chain to read on.
 Each search refuses more vertices than a configurable cap. Neighbour masks
 are built only by the subset tables and, for the vertices it searches, by
-the search.
+the search. Families leave as frozensets in one canonical order, by size
+and then by ascending index tuple; the tuples are joined from per-byte
+tables built once at import.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from operator import and_
+from itertools import chain, compress
+from operator import and_, getitem
 from typing import NamedTuple
 
 from .errors import InternalError, TooLargeForBruteForce, TooLargeForEnumeration
@@ -49,15 +51,44 @@ class PsiFamily:
     members: tuple  # tuple[frozenset], ascending size then lexicographic
 
 
-def canonical_key(mask: int) -> tuple:
-    """The canonical order of vertex sets, read from their masks: by size,
-    then by the ascending list of indices."""
-    return mask.bit_count(), tuple(bits_of(mask))
+def _index_table(offset: int) -> list:
+    """For every byte value b, the ascending tuple of b's set bits plus
+    ``offset``: built by doubling, each new bit above every old one."""
+    table = [()]
+    for i in range(offset, offset + 8):
+        table += [s + (i,) for s in table]
+    return table
+
+
+# bits 0..23, which cover the default enumeration cap; built once at import
+_INDEX_TABLES = tuple(_index_table(8 * k) for k in range(3))
+
+
+def index_tuples(masks) -> list:
+    """The ascending index tuple of every vertex mask in ``masks`` (any
+    iterable; order and duplicates kept), joined byte by byte from per-byte
+    tables. Masks wider than the prebuilt tables take further tables,
+    built for the call."""
+    masks = list(masks)
+    top = max(masks, default=0).bit_length()
+    if top <= 24:
+        t0, t1, t2 = _INDEX_TABLES
+        return [t0[m & 255] + t1[m >> 8 & 255] + t2[m >> 16] for m in masks]
+    tables = _INDEX_TABLES + tuple(_index_table(8 * k) for k in range(3, (top + 7) // 8))
+    width = len(tables)
+    return [tuple(chain.from_iterable(map(getitem, tables, m.to_bytes(width, "little"))))
+            for m in masks]
 
 
 def canonical_sets(masks) -> list:
-    """Sort subset masks into the canonical order and freeze them."""
-    return [frozenset(bits) for _, bits in sorted(map(canonical_key, masks))]
+    """Sort subset masks into the canonical order (by size, then by the
+    ascending tuple of indices) and freeze them. ``masks`` may be any
+    iterable; duplicates are kept. The index tuples are sorted, then
+    stable-sorted by length, then frozen."""
+    keys = index_tuples(masks)
+    keys.sort()
+    keys.sort(key=len)
+    return list(map(frozenset, keys))
 
 
 class _SubsetTables(NamedTuple):

@@ -514,6 +514,24 @@ def graphs(draw, max_n=12):
 
 
 @st.composite
+def disjoint_unions(draw, max_n=14):
+    """Disjoint unions of 2..4 parts drawn from ``graphs(max_n=5)``,
+    ``forests(max_n=5)`` and the cycles C4 and C5, at most ``max_n``
+    vertices in all (a part that does not fit is dropped), indices
+    shuffled. The cycles' families are no greedoids, and then neither is
+    the union's; small random graphs seldom give one."""
+    part = st.one_of(graphs(max_n=5), forests(max_n=5), st.sampled_from([4, 5]).map(cycle))
+    parts = draw(st.lists(part, min_size=2, max_size=4))
+    n, edges = 0, []
+    for part in parts:
+        if n + part.vertex_count <= max_n:
+            edges += [(n + u, n + v) for u, v in part.edges]
+            n += part.vertex_count
+    order = draw(st.permutations(range(n)))
+    return Graph([f"v{i}" for i in range(n)], [(order[u], order[v]) for u, v in edges])
+
+
+@st.composite
 def cyclic_cores(draw, max_cycle=12, max_pendants=3):
     """A cycle on 4..``max_cycle`` vertices with random chords and up to
     ``max_pendants`` vertices hung on it as pendant trees, indices shuffled:

@@ -344,6 +344,40 @@ class TestEnumeratePsi:
         assert enumerate_psi(path(21), cap=21)  # explicit cap override
 
 
+def _canonical_reference(masks) -> list:
+    """The canonical order by an independent key: the sets by a bit test
+    per index, sorted by size, then by their sorted index tuple."""
+    sets = [frozenset(i for i in range(m.bit_length()) if m >> i & 1) for m in masks]
+    return sorted(sets, key=lambda s: (len(s), tuple(sorted(s))))
+
+
+class TestCanonicalSets:
+    """canonical_sets against a key that does not share its index tables."""
+
+    @given(st.integers(1, 40).flatmap(
+        lambda width: st.lists(st.integers(0, (1 << width) - 1), max_size=40)), st.data())
+    def test_matches_the_reference_order(self, masks, data):
+        # repeat some masks: duplicates are kept, as sorted keeps them
+        masks += data.draw(st.lists(st.sampled_from(masks), max_size=5) if masks
+                           else st.just([]))
+        expected = _canonical_reference(masks)
+        assert stable_core.canonical_sets(masks) == expected
+        assert stable_core.canonical_sets(m for m in masks) == expected
+
+    @pytest.mark.parametrize("masks", [
+        [], [0], [0, 0],
+        [1 << 7, 1 << 8, (1 << 8) - 1, 1 << 15, 1 << 16, 1 << 23],
+        [1 << 24, (1 << 24) | 1, 1 << 31, (1 << 32) | (1 << 7), 1 << 39, (1 << 40) - 1],
+        [(1 << 24) - 1, 1 << 24, 0, 1 << 24, 5],
+    ], ids=["empty", "zero", "zeros", "prebuilt-edges", "wider", "mixed"])
+    def test_across_the_table_edges(self, masks):
+        expected = _canonical_reference(masks)
+        assert stable_core.canonical_sets(masks) == expected
+        assert stable_core.canonical_sets(iter(masks)) == expected
+        assert stable_core.index_tuples(masks) == [
+            tuple(i for i in range(m.bit_length()) if m >> i & 1) for m in masks]
+
+
 class TestSubsetOracle:
     def test_tables_match_naive(self):
         rng = SplitMix64(17)

@@ -17,11 +17,13 @@ from lmss import (
     enumerate_psi,
     verify_greedoid,
 )
-from lmss import stable_core
+from lmss import greedoid_engine, stable_core
 from lmss.graph_core import mask_of
+from lmss.greedoid_engine import GreedoidReport
 from lmss.stable_core import canonical_sets
 from conftest import (
     cycle,
+    disjoint_unions,
     forests,
     graphs,
     naive_alpha,
@@ -121,6 +123,16 @@ class TestLaneBuild:
 class TestAgainstNaiveOracles:
     @given(st.one_of(graphs(max_n=10), forests(max_n=10)))
     def test_families_and_violations(self, g):
+        self._check(g)
+
+    @given(disjoint_unions())
+    def test_direct_sums(self, g):
+        # the component route when every part passes, the whole-family scan
+        # when some part (a cycle, mostly) fails
+        self._check(g)
+
+    @staticmethod
+    def _check(g):
         psi = naive_psi(g)
         assert alpha(g).size == naive_alpha(g)
         assert list(enumerate_psi(g).members) == canonical_sets(map(mask_of, psi))
@@ -177,3 +189,68 @@ class TestAgainstNaiveOracles:
         # about 1.1 MB; with a size class's masks kept beside its lanes it
         # is 1.36 MB, and with one map over the whole family about 2 MB
         assert peak < 1.25e6
+
+
+class TestDirectSums:
+    """verify_greedoid checks a graph of several components component by
+    component, and scans the whole family only when one of them fails."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        sizes = []
+        real = greedoid_engine._scan
+        monkeypatch.setattr(greedoid_engine, "_scan",
+                            lambda n, flags, members: sizes.append(len(members))
+                            or real(n, flags, members))
+        return sizes
+
+    def test_a_connected_graph_takes_one_whole_family_scan(self, scans):
+        for g in (cycle(7), path(9), _lattice_graph(1), _lattice_graph(0)):
+            scans.clear()
+            report = verify_greedoid(g)
+            assert scans == [report.family_size]
+
+    def test_greedoid_components_take_no_whole_family_scan(self, scans):
+        # P3 + P4 + K2 + 3 isolated vertices: 4 * 6 * 3 * 2^3 members
+        g = _lattice_graph(12, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (7, 8)])
+        report = verify_greedoid(g)
+        assert report == GreedoidReport(576, True, True, (), ())
+        assert scans == [4, 6, 3]  # each part's own family, the empty set included
+
+    def test_a_failing_component_takes_the_whole_family_scan(self, scans):
+        # C4 fails accessibility, and exchange fails across components too
+        g = _lattice_graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (6, 7)])
+        report = verify_greedoid(g)
+        assert report.family_size == 27
+        assert scans[-1] == report.family_size and scans.count(report.family_size) == 1
+        assert report.accessibility_violations == (frozenset({0, 2}), frozenset({1, 3}))
+        assert (frozenset({4}), frozenset({0, 2})) in report.exchange_violations
+
+    def test_no_table_beyond_the_graphs_own(self, monkeypatch):
+        built = []
+        real = stable_core._build_tables
+        monkeypatch.setattr(stable_core, "_build_tables",
+                            lambda g: built.append(g) or real(g))
+        g = _lattice_graph(10, [(0, 1), (2, 3), (3, 4), (6, 7), (7, 8), (8, 6)])
+        verify_greedoid(g)
+        verify_greedoid(g, oracle=SubsetOracle(g))
+        assert built == [g]
+
+    def test_three_disjoint_edges_in_bounded_time(self):
+        # the whole-family scan takes about 2 s of CPU on this graph: 110 592
+        # members, each Y's extension mask distinct
+        g = _lattice_graph(18, [(0, 1), (2, 3), (4, 5)])
+        oracle = SubsetOracle(g)
+        t0 = time.process_time()
+        report = verify_greedoid(g, oracle=oracle)
+        seconds = time.process_time() - t0
+        assert report == GreedoidReport(110592, True, True, (), ())
+        assert seconds < 0.3
+
+    def test_enumerate_psi_is_the_product_of_the_parts(self):
+        g = _lattice_graph(18, [(0, 1), (2, 3), (4, 5)])
+        family = [frozenset()]
+        for part in ([0, 1], [2, 3], [4, 5], *([v] for v in range(6, 18))):
+            family = [s | {v} for s in family for v in part] + family
+        expected = sorted(family, key=lambda s: (len(s), tuple(sorted(s))))
+        assert list(enumerate_psi(g).members) == expected
