@@ -10,10 +10,10 @@ rule holds across the package: neighbor lists for traversal, bitmasks only
 where subsets are enumerated or searched. The graph kernels (N[S] with the
 stability test, peel, components, embedding step, search) take the lists
 and a bytearray of flags, one byte per vertex, and return flags or lists,
-so the forest routines stay O(n log n) in time and O(n) in memory. Masks
-are built where the engine calls a kernel, once in the memoised
-Graph.peel, and for the subsets enumerated or searched: by the subset
-tables, one neighbor mask per vertex of a small graph, and by the
+so the forest routines stay O(n log n) in time and O(n) in memory; the
+memoised Graph.peel keeps the peel's own flags. Masks are built where the
+engine calls a kernel, and for the subsets enumerated or searched: by the
+subset tables, one neighbor mask per vertex of a small graph, and by the
 exhaustive search, one per vertex it searches.
 
 Graph() validates its labels and edges, then hands them to one private
@@ -342,12 +342,12 @@ class Graph:
         return self._forest
 
     @property
-    def peel(self) -> tuple[int, tuple, int]:
-        """``leaf_peel`` of the whole graph as ``(taken_mask, pairs,
-        leftover_mask)``, computed once."""
+    def peel(self) -> tuple[bytearray, tuple, bytearray]:
+        """``leaf_peel`` of the whole graph, ``(taken, pairs, leftover)`` with
+        the taken and leftover vertices as flags, computed once and shared by
+        every reader: do not modify it."""
         if self._peel is None:
-            took, pairs, live = leaf_peel(self._nbrs, b"\x01" * self.vertex_count)
-            self._peel = mask_of_flags(took), pairs, mask_of_flags(live)
+            self._peel = leaf_peel(self._nbrs, b"\x01" * self.vertex_count)
         return self._peel
 
     # -- value semantics -------------------------------------------------

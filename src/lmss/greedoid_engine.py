@@ -15,10 +15,10 @@ in _membership: the oracle's table lookup when a SubsetOracle is passed
 (refused with ValueError when it was built for a different graph),
 otherwise the direct closed-neighborhood check of stable_core.in_psi_mask
 (the neighborhood peel, then exhaustive search of the cyclic core it leaves,
-refused above ``cap``). The direct constructive chain is the one route that
-reads more than the verdict: stable_core.psi_walk hands it the walk over
-N[S] and the peel of N[S] that decided membership, so each call walks and
-peels N[S] once. The engine then works on vertex bitmasks and
+refused above ``cap``). The constructive chain is the one route that reads
+more than the verdict: on both routes, stable_core.psi_walk hands it the
+walk over N[S] and the peel of N[S] that decided membership, so each call
+walks and peels N[S] once. The engine then works on vertex bitmasks and
 join orders, and freezes sets only at the public boundary: a chain's
 prefixes only when they are read.
 """
@@ -363,19 +363,15 @@ def _constructive_chain_order(g: Graph, walk) -> list:
     step on the leaf-greedy matching of N[S]. Then join the orders of its
     components, which are perfect trees ordered by their lowest vertex.
 
-    ``walk`` is stable_core.closed_peel's ``(members, closed, peel)`` for S:
+    ``walk`` is stable_core.psi_walk's ``(members, closed, peel)`` for S:
     S and N[S] as flags and the peel of N[S], whose pairs are that matching.
-    The embedded forest is g's neighbor lists, each fresh vertex appended
-    to its partner's list (above every old index, so the lists stay sorted),
-    with the vertices outside N[S] flagged dead. Each component's vertices
-    then give its live degrees and pendants. ``walk``'s flags are updated
-    in place."""
+    The embedded forest is g's neighbor lists grown by fresh_partners, with
+    the vertices outside N[S] flagged dead. Each component's vertices then
+    give its live degrees and pendants. ``walk``'s flags are updated in
+    place."""
     n = g.vertex_count
     chosen, live, peel = walk
-    nb = list(g._nbrs)
-    for v, w in fresh_partners(peel[1], live, n):
-        nb[v] += (w,)
-        nb.append((v,))
+    nb, _ = fresh_partners(g._nbrs, peel[1], live)
     live += b"\x01" * (len(nb) - n)
     chosen += bytes(len(nb) - n)
     deg = [0] * len(nb)
@@ -410,18 +406,16 @@ def chain_decompose(g: Graph, s, strategy: str = "greedy_peel",
     tree orders one after another.
 
     Membership is read from the oracle when one is given, else checked
-    directly; the direct constructive route reads on from that check's walk
-    and peel of N[S] (stable_core.psi_walk). The constructive chain is
-    re-checked against the family only when an oracle is given, where each
-    check is one table lookup.
+    directly; constructive reads on from the direct check's walk and peel of
+    N[S] (stable_core.psi_walk) on both routes, and re-checks its chain
+    against the family only when an oracle is given, one lookup per prefix.
     """
     _, s_mask = g.check_vertices_mask(s)
-    walk = None
-    if strategy == "constructive" and oracle is None:
+    in_psi = _membership(g, oracle, cap)  # an oracle for another graph is refused first
+    if strategy == "constructive":
         walk = stable_core.psi_walk(g, s_mask, cap)
         member = walk is not None
     else:
-        in_psi = _membership(g, oracle, cap)
         member = in_psi(s_mask)
     if not member:
         raise NotInPsiError("target set is not a local maximum stable set")
@@ -430,7 +424,7 @@ def chain_decompose(g: Graph, s, strategy: str = "greedy_peel",
     elif strategy == "constructive":
         if not g.is_forest:
             raise NotAForestError("constructive strategy requires a forest")
-        order = _constructive_chain_order(g, walk or stable_core.closed_peel(g, s_mask))
+        order = _constructive_chain_order(g, walk)
         masks = accumulate((1 << v for v in order), or_)
         if oracle is not None and not all(map(in_psi, masks)):  # pragma: no cover - theory
             raise InternalError("constructive chain left the family")

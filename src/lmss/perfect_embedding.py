@@ -8,20 +8,20 @@ internal-cover matching instead makes every new edge land on a pendant or
 isolated vertex of the original forest.
 
 The host is grown from the forest's own parts: its labels, index and
-neighbor tuples, each fresh vertex appended to its partner's tuple, and its
-sorted edges merged with the added ones. Only the fresh labels are new, and
-they are checked for freshness as they are made.
+neighbor tuples, grown by fresh_partners (the one place where neighbor
+lists grow, here and in the constructive chain), and its sorted edges
+merged with the added ones. Only the fresh labels are new, and they are
+checked for freshness as they are made.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, count
-from typing import Iterator
 
 from . import stable_core
 from .errors import InternalError, InvalidVertexError
-from .graph_core import Graph, flags_of
+from .graph_core import Graph, flags_of, induced_subgraph, mask_of_flags
 from .tree_matching import internal_cover_matching, leaf_greedy_pairs
 
 
@@ -47,14 +47,21 @@ def _fresh_label(base: str, index: dict) -> str:
     return cand
 
 
-def fresh_partners(pairs, universe, first: int) -> Iterator[tuple[int, int]]:
-    """The embedding step: the vertices flagged in ``universe`` (one byte per
-    vertex) that the matching ``pairs`` leaves exposed get partners first,
-    first + 1, ... in ascending order."""
+def fresh_partners(nbrs, pairs, universe) -> tuple[list, tuple]:
+    """The embedding step on the neighbor tuples ``nbrs`` of n vertices: each
+    vertex flagged in ``universe`` (one byte per vertex) that the matching
+    ``pairs`` leaves exposed gets a fresh partner n, n + 1, ... in ascending
+    order, appended to its tuple (above every old index, so it stays sorted).
+    Returns the grown lists and the added edges ``(v, w)``."""
     exposed = bytearray(universe)
     for x, y in pairs:
         exposed[x] = exposed[y] = 0
-    return zip(compress(range(len(exposed)), exposed), count(first))
+    nb = list(nbrs)
+    added = tuple(zip(compress(range(len(exposed)), exposed), count(len(nb))))
+    for v, w in added:
+        nb[v] += (w,)
+        nb.append((v,))
+    return nb, added
 
 
 def embed_perfect(g: Graph, mode: str = "any") -> Embedding:
@@ -69,37 +76,36 @@ def embed_perfect(g: Graph, mode: str = "any") -> Embedding:
         raise ValueError(f"unknown mode {mode!r}")
     pairs = leaf_greedy_pairs(g) if mode == "any" else internal_cover_matching(g).edges
     n = g.vertex_count
-    added = tuple(fresh_partners(pairs, b"\x01" * n, n))
+    nbrs, added = fresh_partners(g._nbrs, pairs, b"\x01" * n)
     host = g
-    if added:  # g's parts, grown: a fresh partner w > every old index keeps each tuple sorted
+    if added:  # g's parts, grown
         labels = list(g.labels)
         index = dict(g._index)
-        nbrs = list(g._nbrs)
-        for v, w in added:
+        for v, _ in added:
             labels.append(_fresh_label(labels[v], index))
-            nbrs[v] += (w,)
-            nbrs.append((v,))
         # g.edges and added are two sorted runs, which one timsort merges
         host = Graph._trusted(tuple(labels), index, [*g.edges, *added], nbrs)
     if not host.is_forest or 2 * len(host.peel[1]) != host.vertex_count:
         raise InternalError("embedding failed to produce a perfect forest")
-    if host.peel[0].bit_count() != g.peel[0].bit_count():
+    if host.peel[0].count(1) != g.peel[0].count(1):
         raise InternalError("embedding changed the stability number")
     return Embedding(host=host, original_vertices=frozenset(range(n)), added_edges=added)
 
 
 def psi_restrict_check(host: Graph, sub_vertices, a) -> bool:
     """Membership of ``a`` in the family of the subgraph induced by
-    ``sub_vertices``: the one kernel, stable_core.in_psi_mask, with N[a] cut to
-    that set. Its search takes a vertex with at most one neighbour left without
-    branching on it.
+    ``sub_vertices``: the one kernel, stable_core.in_psi_mask, on that induced
+    subgraph (which keeps the vertex order) with ``a`` re-indexed. Its search
+    takes a vertex with at most one neighbour left without branching on it.
 
     When ``a`` is a local maximum stable set of ``host``, restriction can
     only shrink its neighborhood, so this check must come out true; callers
     use it to validate that implication on concrete instances.
     """
-    sub = host.check_vertices_mask(sub_vertices)[1]
+    sub_vertices, sub = host.check_vertices_mask(sub_vertices)
     a = host.check_vertices_mask(a)[1]
     if a & ~sub:
         raise InvalidVertexError("a-set must lie inside the induced vertex set")
-    return stable_core.in_psi_mask(host, a, None, flags_of(sub, host.vertex_count))
+    # a's flags read at sub's vertices only, in index order: a in the subgraph's indices
+    a = mask_of_flags(bytes(compress(flags_of(a, 0), flags_of(sub, 0))))
+    return stable_core.in_psi_mask(induced_subgraph(host, sub_vertices), a)

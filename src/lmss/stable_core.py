@@ -7,9 +7,9 @@ member of the family by convention (the greedoid view requires it).
 Everything here is exact. alpha of a forest is the lowest-pendant peel of
 graph_core.leaf_peel (a heap-driven O(n log n) peel over the neighbor
 lists); alpha of any other graph is one exhaustive search of the whole
-graph. One kernel, psi_walk (in_psi_mask is its verdict), answers
-membership on flags (one byte per vertex): closed_peel's one walk over S's
-neighbour lists checks stability and builds N[S], the peel of N[S]
+graph. One kernel, psi_walk (in_psi_mask is its verdict), answers every
+direct membership question on flags (one byte per vertex): one walk over
+S's neighbour lists checks stability and builds N[S], the peel of N[S]
 follows, and the search covers only the cyclic core the peel leaves,
 taking a vertex with at most one neighbour left without branching. A
 member's walk and peel are returned, for the constructive chain to read on.
@@ -23,11 +23,12 @@ tables built once at import.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress
-from operator import and_, getitem
+from itertools import chain, compress, count
+from operator import getitem, index
 from typing import NamedTuple
 
-from .errors import InternalError, TooLargeForBruteForce, TooLargeForEnumeration
+from .errors import (InternalError, InvalidVertexError, TooLargeForBruteForce,
+                     TooLargeForEnumeration)
 from .graph_core import Graph, bits_of, closed_flags, flags_of, leaf_peel, mask_of, set_of
 
 DEFAULT_BRUTE_FORCE_CAP = 24
@@ -208,15 +209,25 @@ class SubsetOracle:
         self.n = n
         self._alpha, self._flags, self._masks = tables
 
+    def _subset(self, mask) -> int:
+        """``mask`` as a table index: one outside [0, 2^n) is refused."""
+        try:
+            m = index(mask)
+        except TypeError:
+            m = -1
+        if not 0 <= m < len(self._flags):
+            raise InvalidVertexError(f"subset mask {mask!r} is not in 0..{len(self._flags) - 1}")
+        return m
+
     def alpha_of(self, mask: int) -> int:
         """alpha of the subgraph induced by ``mask``."""
-        return self._alpha[mask]
+        return self._alpha[self._subset(mask)]
 
     def alpha(self) -> int:
         return self._alpha[-1]
 
     def in_psi_mask(self, mask: int) -> bool:
-        return self._flags[mask] == 1
+        return self._flags[self._subset(mask)] == 1
 
     def psi_flags(self) -> bytes:
         """One byte per subset mask: 1 iff the subset is in the family."""
@@ -296,9 +307,9 @@ def alpha(g: Graph, cap: int | None = None) -> StableSetResult:
     """
     if g.is_forest:
         taken, _, leftover = g.peel
-        if leftover:  # pragma: no cover - impossible on forests
+        if 1 in leftover:  # pragma: no cover - impossible on forests
             raise InternalError("no pendant or isolated vertex in a forest")
-        s = set_of(taken)
+        s = frozenset(compress(count(), taken))
         return StableSetResult(set=s, size=len(s), method="forest_dp")
     s = set_of(_alpha_branch_bound(g._nbrs, b"\x01" * g.vertex_count, cap))
     return StableSetResult(set=s, size=len(s), method="brute_force")
@@ -310,48 +321,34 @@ def enumerate_omega(g: Graph, cap: int | None = None) -> list:
     return canonical_sets(oracle.omega_masks())
 
 
-def closed_peel(g: Graph, mask: int, within=None):
-    """The one walk over N[S] and its peel, for the set S of a validated
-    vertex bitmask: ``(members, closed, peel)`` with S and N[S] as flags (one
-    byte per vertex), N[S] cut to the vertices flagged in ``within`` (None
-    keeps every vertex), and ``peel`` the leaf_peel of that cut. One walk
-    over S's neighbour lists checks stability and builds N[S]; None when
-    S is not stable."""
+def psi_walk(g: Graph, mask: int, cap: int | None = None):
+    """Family membership of a validated vertex bitmask, checked directly:
+    ``(members, closed, peel)`` when the set S is a member, with S and N[S]
+    as flags (one byte per vertex) and ``peel`` the leaf_peel of N[S], which
+    the constructive chain reads on; else None.
+
+    S is a member iff it is stable and attains alpha on the subgraph induced
+    by N[S]. One walk over S's neighbour lists checks stability and builds
+    N[S]. Each peel move keeps alpha, so only the core the peel leaves is
+    searched, and only a core of more than ``cap`` vertices is refused. The
+    empty set qualifies.
+    """
     nbrs = g._nbrs
     members = flags_of(mask, g.vertex_count)
     closed = closed_flags(nbrs, members)
     if closed is None:
         return None
-    if within is not None:
-        closed = bytearray(map(and_, closed, within))
-    return members, closed, leaf_peel(nbrs, closed)
-
-
-def psi_walk(g: Graph, mask: int, cap: int | None = None, within=None):
-    """Family membership of a validated vertex bitmask, checked directly:
-    closed_peel's ``(members, closed, peel)`` when the set is a member,
-    which the constructive chain reads on, else None.
-
-    The set is a member iff it is stable and attains alpha on the subgraph
-    induced by N[set], cut to the vertices flagged in ``within`` (one byte
-    per vertex; None keeps every vertex), which must hold the set. Each
-    peel move keeps alpha, so only the core the peel leaves is searched,
-    and only a core of more than ``cap`` vertices is refused. The empty
-    set qualifies.
-    """
-    walk = closed_peel(g, mask, within)
-    if walk is None:
-        return None
-    taken, _, leftover = walk[2]
+    peel = leaf_peel(nbrs, closed)
+    taken, _, leftover = peel
     size = taken.count(1)
     if 1 in leftover:
-        size += _alpha_branch_bound(g._nbrs, leftover, cap).bit_count()
-    return walk if size == mask.bit_count() else None
+        size += _alpha_branch_bound(nbrs, leftover, cap).bit_count()
+    return (members, closed, peel) if size == mask.bit_count() else None
 
 
-def in_psi_mask(g: Graph, mask: int, cap: int | None = None, within=None) -> bool:
+def in_psi_mask(g: Graph, mask: int, cap: int | None = None) -> bool:
     """psi_walk's verdict as a bool: the one direct membership check."""
-    return psi_walk(g, mask, cap, within) is not None
+    return psi_walk(g, mask, cap) is not None
 
 
 def is_local_max_stable(g: Graph, s, cap: int | None = None) -> bool:

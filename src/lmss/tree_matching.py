@@ -108,11 +108,11 @@ def internal_cover_matching(g: Graph) -> Matching:
             partner[e], partner[q] = q, e
             partner[r] = -1
             e, came_from = r, q
-    edges = [(v, partner[v]) for v in range(n) if 0 <= partner[v] and v < partner[v]]
-    m = Matching.from_edges(edges)
-    if len(m) * 2 != sum(1 for v in range(n) if partner[v] >= 0):  # pragma: no cover
+    edges = tuple((v, p) for v, p in enumerate(partner) if v < p)
+    covered = frozenset(v for e in edges for v in e)
+    if not len(covered) == 2 * len(edges) == n - partner.count(-1):  # pragma: no cover
         raise InternalError("partner table inconsistent")
-    return m
+    return Matching(edges=edges, covered=covered)
 
 
 def verify_konig_egervary(g: Graph) -> KonigEgervaryReport:
@@ -122,7 +122,7 @@ def verify_konig_egervary(g: Graph) -> KonigEgervaryReport:
     so callers and tests can confirm it instance by instance.
     """
     _require_forest(g, "verify_konig_egervary")
-    a = g.peel[0].bit_count()
+    a = g.peel[0].count(1)
     mu = len(g.peel[1])
     n = g.vertex_count
     return KonigEgervaryReport(

@@ -15,6 +15,7 @@ from lmss import (
     NotAForestError,
     NotInPsiError,
     SubsetOracle,
+    TooLargeForBruteForce,
     alpha,
     chain_decompose,
     chain_is_valid,
@@ -22,7 +23,7 @@ from lmss import (
 )
 from lmss import graph_core, greedoid_engine, stable_core
 from lmss.greedoid_engine import PrefixChain
-from lmss.graph_core import mask_of, set_of
+from lmss.graph_core import mask_of, mask_of_flags, set_of
 from lmss.stable_core import in_psi_mask
 from conftest import (
     forests,
@@ -58,9 +59,10 @@ def test_constructive_chain_embeds_the_neighborhood_once():
 def test_forest_chains_match_prefix_masks(g, bits):
     # any subset of the peel's alpha set that is a family member, else the
     # alpha set itself
-    target = g.peel[0] & bits
+    alpha_set = mask_of_flags(g.peel[0])
+    target = alpha_set & bits
     if not in_psi_mask(g, target):
-        target = g.peel[0]
+        target = alpha_set
     s = set_of(target)
     oracles = (None, SubsetOracle(g)) if g.vertex_count <= 14 else (None,)
     expected = {
@@ -150,9 +152,10 @@ def test_constructive_certificate_memory_is_linear_in_the_set():
 
 @given(forests(max_n=14), st.integers(0, (1 << 14) - 1))
 def test_constructive_routes_give_equal_certificates(g, bits):
-    target = g.peel[0] & bits
+    alpha_set = mask_of_flags(g.peel[0])
+    target = alpha_set & bits
     if not in_psi_mask(g, target):
-        target = g.peel[0]
+        target = alpha_set
     s = set_of(target)
     assert chain_decompose(g, s, "constructive") == \
         chain_decompose(g, s, "constructive", oracle=SubsetOracle(g))
@@ -172,9 +175,33 @@ def test_constructive_refusals_keep_their_order(edges, s, error):
             chain_decompose(g, s, "constructive", oracle=oracle)
 
 
+def test_constructive_refuses_a_core_past_the_cap_first():
+    # {1} is a member of the triangle with a pendant, and N[{1}] is the
+    # triangle itself, a cyclic core of 3 vertices: with cap 2 the membership
+    # check refuses it on both routes before the forest test runs, and an
+    # oracle built for another graph is still refused before either
+    g = Graph([f"v{i}" for i in range(4)], [(0, 1), (1, 2), (0, 2), (0, 3)])
+    for oracle in (None, SubsetOracle(g)):
+        with pytest.raises(TooLargeForBruteForce):
+            chain_decompose(g, {1}, "constructive", oracle=oracle, cap=2)
+        with pytest.raises(NotAForestError):
+            chain_decompose(g, {1}, "constructive", oracle=oracle, cap=3)
+    with pytest.raises(ValueError, match="oracle built for"):
+        chain_decompose(g, {1}, "constructive", oracle=SubsetOracle(Graph(["a"])), cap=2)
+    # the hub of the wheel W4 is no member, and N[hub] is the whole wheel, a
+    # core of 5: the refusal comes before the verdict too
+    wheel = Graph([f"w{i}" for i in range(5)],
+                  [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (1, 4)])
+    for oracle in (None, SubsetOracle(wheel)):
+        with pytest.raises(TooLargeForBruteForce):
+            chain_decompose(wheel, {0}, "constructive", oracle=oracle, cap=4)
+        with pytest.raises(NotInPsiError):
+            chain_decompose(wheel, {0}, "constructive", oracle=oracle, cap=5)
+
+
 def test_constructive_chain_peels_the_neighborhood_once(monkeypatch):
-    # the direct route's membership check walks and peels N[S], and the chain
-    # reads that peel on; with an oracle, the chain peels N[S] itself
+    # the membership check walks and peels N[S], and the chain reads that
+    # peel on, with or without an oracle
     cases = []
     for n, oracle in ((300, False), (12, True)):
         g = generate(FamilySpec("random_forest", n=n, seed=4, delete_prob=0.15))

@@ -63,7 +63,7 @@ class TestKernel:
     def test_graph_memoises_its_peel(self):
         g = path(7)
         assert g.peel is g.peel
-        assert g.peel == peel(g, g.full_mask())
+        assert g.peel == leaf_peel(g._nbrs, flags_of(g.full_mask(), 7))
 
 
 @given(forests(), st.integers(0, (1 << 80) - 1))
@@ -79,9 +79,9 @@ def test_forest_witnesses_match_quadratic_scans(g, universe_bits):
 
 
 @given(st.one_of(graphs(), cyclic_cores(), forests()))
-def test_graph_peel_is_the_kernel_read_as_masks(g):
-    # the memo converts the kernel's flags once; every reader gets masks
-    assert g.peel == peel(g, g.full_mask())
+def test_graph_peel_is_the_kernels_output(g):
+    # the memo keeps the kernel's flags as they are; no reader gets masks
+    assert g.peel == leaf_peel(g._nbrs, flags_of(g.full_mask(), g.vertex_count))
 
 
 @given(graphs_with_probe())

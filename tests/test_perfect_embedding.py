@@ -48,15 +48,30 @@ class TestFreshPartners:
         g = Graph([f"v{i}" for i in range(8)], [(1, 2), (2, 3), (2, 4), (5, 6), (6, 7)])
         pairs = maximum_matching(g).edges
         assert pairs == ((1, 2), (5, 6))
-        assert list(fresh_partners(pairs, flags_of(g.full_mask(), 8), 8)) == [(0, 8), (3, 9), (4, 10), (7, 11)]
-        # the constructive chain's universe is N[S], here N[{3, 7}]
+        nb, added = fresh_partners(g._nbrs, pairs, flags_of(g.full_mask(), 8))
+        assert added == ((0, 8), (3, 9), (4, 10), (7, 11))
+        # each fresh vertex is appended to its partner's tuple, which stays sorted
+        assert nb == [(8,), (2,), (1, 3, 4), (2, 9), (2, 10), (6,), (5, 7), (6, 11),
+                      (0,), (3,), (4,), (7,)]
+        assert g._nbrs[0] == ()  # the graph's own tuples are not touched
+        # the constructive chain's universe is N[S], here N[{3, 7}]; behind 12
+        # more (isolated) vertices the fresh ones start at 20
         assert closed_neighborhood(g, {3, 7}) == {2, 3, 6, 7}
-        assert list(fresh_partners(pairs, flags_of(mask_of({2, 3, 6, 7}), 8), 20)) == [(3, 20), (7, 21)]
-        assert list(fresh_partners(pairs, flags_of(0, 8), 8)) == []
+        nbrs = g._nbrs + ((),) * 12
+        assert fresh_partners(nbrs, pairs, flags_of(mask_of({2, 3, 6, 7}), 20))[1] == \
+            ((3, 20), (7, 21))
+        assert fresh_partners(g._nbrs, pairs, flags_of(0, 8)) == (list(g._nbrs), ())
 
     def test_dropped_partner_is_caught(self, monkeypatch):
         step = perfect_embedding.fresh_partners
-        monkeypatch.setattr(perfect_embedding, "fresh_partners", lambda *a: list(step(*a))[:-1])
+
+        def dropped(*args):  # the last partner leaves both the lists and the edges
+            nb, added = step(*args)
+            v, w = added[-1]
+            nb[v] = nb[v][:-1]
+            return nb[:w], added[:-1]
+
+        monkeypatch.setattr(perfect_embedding, "fresh_partners", dropped)
         for mode in ("any", "pendant_only"):
             with pytest.raises(InternalError,
                                match="embedding failed to produce a perfect forest"):

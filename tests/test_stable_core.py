@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from lmss import (
     FamilySpec,
     Graph,
+    InvalidVertexError,
     SplitMix64,
     SubsetOracle,
     TooLargeForBruteForce,
@@ -22,7 +23,7 @@ from lmss import (
     psi_restrict_check,
     stable_core,
 )
-from lmss.graph_core import bits_of, flags_of, leaf_peel, mask_of_flags, set_of
+from lmss.graph_core import bits_of, flags_of, leaf_peel, mask_of, mask_of_flags, set_of
 from conftest import (
     closed_mask_of,
     cycle,
@@ -184,25 +185,28 @@ class TestBranchAndBound:
 
     @given(cyclic_cores(), st.integers(0, 6), st.data())
     def test_membership_within_a_vertex_set(self, g, cap, data):
-        # the kernel cut to ``sub`` answers membership in the subgraph induced
-        # by ``sub``, refused exactly when the core its peel leaves tops ``cap``
+        # the kernel on the subgraph induced by ``sub`` (which keeps the vertex
+        # order) answers membership there, refused exactly when the core the
+        # peel leaves of N[S] cut to ``sub`` in ``g`` tops ``cap``
         s = 0
         for v in data.draw(st.permutations(range(g.vertex_count))):
             if not g.adjacency_mask(v) & s:
                 s |= 1 << v
         s &= data.draw(st.integers(0, s))
         sub = s | data.draw(st.integers(0, g.full_mask()))
+        keep = list(bits_of(sub))
+        h = induced_subgraph(g, keep)
+        t = mask_of(keep.index(v) for v in bits_of(s))
         try:
-            got = stable_core.in_psi_mask(g, s, cap, flags_of(sub, g.vertex_count))
+            got = stable_core.in_psi_mask(h, t, cap)
         except TooLargeForBruteForce:
             got = None
         closed = closed_mask_of(naive_adjacency(g), s) & sub
         core = leaf_peel(g._nbrs, flags_of(closed, g.vertex_count))[2]
         assert (got is None) == (core.count(1) > cap)
         if got is not None:
-            keep = list(bits_of(sub))
-            assert got == naive_is_local_max_stable(
-                induced_subgraph(g, keep), {keep.index(v) for v in bits_of(s)})
+            assert got == naive_is_local_max_stable(h, set_of(t))
+            assert psi_restrict_check(g, keep, set_of(s)) == got
 
 
 class TestEnumerateOmega:
@@ -391,3 +395,19 @@ class TestSubsetOracle:
 
     def test_alpha_of_whole_graph(self, fig1):
         assert SubsetOracle(fig1).alpha() == 3
+
+    @pytest.mark.parametrize("mask", [-6, -1, 16, 1 << 70, 1.5, "3", None])
+    def test_mask_outside_the_table_is_refused(self, p4, mask):
+        # -6 would read entry 10 and -1 the whole graph's alpha; 16 is past
+        # the table and 1.5 no index at all
+        oracle = SubsetOracle(p4)
+        for read in (oracle.in_psi_mask, oracle.alpha_of):
+            with pytest.raises(InvalidVertexError, match="subset mask"):
+                read(mask)
+
+    def test_mask_reads_through_index(self, p4):
+        np = pytest.importorskip("numpy")
+        oracle = SubsetOracle(p4)
+        assert oracle.in_psi_mask(np.int64(9)) and oracle.in_psi_mask(True)
+        assert oracle.alpha_of(np.uint8(15)) == oracle.alpha_of(15) == 2
+        assert oracle.in_psi_mask(10) and not oracle.in_psi_mask(2)
