@@ -20,11 +20,16 @@ its exception.
 
 The parser checks labels and edges as it reads them, and builds its graph
 without Graph's own validation, which would repeat those checks.
+
+This module imports no module that defines a result record: it finds each
+record's class among the loaded modules, so writing an alpha set never
+loads the greedoid engine.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -35,14 +40,26 @@ from .errors import (
     UnsupportedFormatError,
 )
 from .graph_core import Graph
-from .greedoid_engine import ChainCertificate, ExchangeWitness, GreedoidReport
-from .perfect_embedding import Embedding
-from .stable_core import PsiFamily, StableSetResult
-from .tree_matching import KonigEgervaryReport, Matching
 
 FORMAT_VERSION = "1"
 
 _encode_str = json.encoder.encode_basestring  # the C encoder's, as ensure_ascii=False uses
+
+_RECORD_HOME = {  # result record -> the module that defines it
+    "StableSetResult": "stable_core", "PsiFamily": "stable_core",
+    "Matching": "tree_matching", "KonigEgervaryReport": "tree_matching",
+    "Embedding": "perfect_embedding", "ChainCertificate": "greedoid_engine",
+    "ExchangeWitness": "greedoid_engine", "GreedoidReport": "greedoid_engine",
+}
+
+
+def _record(name: str):
+    """The record class ``name`` when its module is loaded, else the empty
+    tuple, which isinstance matches nothing against. An instance exists only
+    once its module has loaded, so emit recognises every record without
+    importing a module the caller did not."""
+    module = sys.modules.get(f"{__package__}.{_RECORD_HOME[name]}")
+    return () if module is None else getattr(module, name)
 
 
 class DuplicateEdgeWarning(UserWarning):
@@ -165,35 +182,35 @@ def to_jsonable(obj, graph: Graph | None = None):
         return _graph_dict(obj.graph, obj.metadata)
     if isinstance(obj, Graph):
         return _graph_dict(obj)
-    if isinstance(obj, StableSetResult):
+    if isinstance(obj, _record("StableSetResult")):
         g = need_graph()
         return {"alpha": obj.size, "method": obj.method, "set": labels_of(g, obj.set)}
-    if isinstance(obj, PsiFamily):
+    if isinstance(obj, _record("PsiFamily")):
         g = obj.graph
         return {"count": len(obj.members), "sets": [labels_of(g, s) for s in obj.members]}
-    if isinstance(obj, Matching):
+    if isinstance(obj, _record("Matching")):
         g = need_graph()
         return {"mu": len(obj.edges),
                 "edges": [[g.labels[u], g.labels[v]] for u, v in obj.edges],
                 "covered": labels_of(g, obj.covered)}
-    if isinstance(obj, KonigEgervaryReport):
+    if isinstance(obj, _record("KonigEgervaryReport")):
         return {"alpha": obj.alpha, "mu": obj.mu, "order": obj.order,
                 "identity_holds": obj.identity_holds,
                 "has_perfect_matching": obj.has_perfect_matching}
-    if isinstance(obj, Embedding):
+    if isinstance(obj, _record("Embedding")):
         h = obj.host
         return {"host": _graph_dict(h),
                 "original_vertices": labels_of(h, obj.original_vertices),
                 "added_edges": [[h.labels[u], h.labels[v]] for u, v in obj.added_edges]}
-    if isinstance(obj, ChainCertificate):
+    if isinstance(obj, _record("ChainCertificate")):
         g = obj.graph
         return {"strategy": obj.strategy,
                 "chain": [labels_of(g, s) for s in obj.chain]}
-    if isinstance(obj, ExchangeWitness):
+    if isinstance(obj, _record("ExchangeWitness")):
         g = need_graph()
         return {"s1": labels_of(g, obj.s1), "s2": labels_of(g, obj.s2),
                 "witness": None if obj.witness is None else g.labels[obj.witness]}
-    if isinstance(obj, GreedoidReport):
+    if isinstance(obj, _record("GreedoidReport")):
         g = need_graph()
         return {"family_size": obj.family_size,
                 "accessibility_ok": obj.accessibility_ok,
@@ -329,7 +346,7 @@ def emit(obj, fmt: str = "text", graph: Graph | None = None) -> str:
             return _emit_dot(obj.graph)
         if isinstance(obj, Graph):
             return _emit_dot(obj)
-        if isinstance(obj, StableSetResult) and graph is not None:
+        if isinstance(obj, _record("StableSetResult")) and graph is not None:
             return _emit_dot(graph, obj.set)
         if isinstance(obj, frozenset) and graph is not None:
             return _emit_dot(graph, obj)

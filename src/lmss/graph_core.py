@@ -169,6 +169,25 @@ def leaf_peel(nbrs: Sequence, active) -> tuple[bytearray, tuple, bytearray]:
     return took, tuple(pairs), live
 
 
+def fresh_partners(nbrs: Sequence, pairs, universe) -> tuple[list, tuple]:
+    """The embedding step on the neighbor tuples ``nbrs`` of n vertices: each
+    vertex flagged in ``universe`` (one byte per vertex) that the matching
+    ``pairs`` leaves exposed gets a fresh partner n, n + 1, ... in ascending
+    order, appended to its tuple (above every old index, so it stays sorted).
+    Returns the grown lists and the added edges ``(v, w)``. This is the one
+    place where neighbor lists grow: in the perfect embedding and in the
+    constructive chain."""
+    exposed = bytearray(universe)
+    for x, y in pairs:
+        exposed[x] = exposed[y] = 0
+    nb = list(nbrs)
+    added = tuple(zip(compress(range(len(exposed)), exposed), count(len(nb))))
+    for v, w in added:
+        nb[v] += (w,)
+        nb.append((v,))
+    return nb, added
+
+
 class Graph:
     """A finite, undirected, loopless graph without multiple edges.
 

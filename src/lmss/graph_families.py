@@ -57,8 +57,8 @@ _MIN_ORDER = {"path": 1, "cycle": 4, "complete": 1, "star": 1, "fig7": 6,
 @dataclass(frozen=True)
 class FamilySpec:
     """Which graph to generate. ``n`` may be omitted for the fixed fig*
-    families; ``seed`` feeds SplitMix64 and only matters for the random
-    families."""
+    families; ``seed``, an integer in [0, 2^64), feeds SplitMix64 and only
+    matters for the random families."""
 
     family: str
     n: Optional[int] = None
@@ -224,6 +224,8 @@ def generate(spec: FamilySpec) -> Graph:
     if fam == "fig7":
         return _fig7(n)
     seed = 0 if spec.seed is None else _integer(spec.seed, "seed")
+    if not 0 <= seed <= _MASK64:  # SplitMix64 would take it modulo 2^64: another seed's draw
+        raise InvalidFamilyParameterError(f"seed must lie in [0, 2^64), not {seed}")
     if fam == "random_tree":
         return _random_forest(n, seed, 0.0)
     p = spec.delete_prob

@@ -45,9 +45,8 @@ from .errors import (
     NotPerfectTreeError,
     SizeMismatchError,
 )
-from .graph_core import (Graph, closed_flags, component_lists, flags_of, mask_of,
-                         mask_of_flags, set_of)
-from .perfect_embedding import fresh_partners
+from .graph_core import (Graph, closed_flags, component_lists, flags_of, fresh_partners,
+                         mask_of, mask_of_flags, set_of)
 from .stable_core import SubsetOracle, canonical_sets, index_tuples
 
 

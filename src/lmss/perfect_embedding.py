@@ -8,20 +8,20 @@ internal-cover matching instead makes every new edge land on a pendant or
 isolated vertex of the original forest.
 
 The host is grown from the forest's own parts: its labels, index and
-neighbor tuples, grown by fresh_partners (the one place where neighbor
-lists grow, here and in the constructive chain), and its sorted edges
-merged with the added ones. Only the fresh labels are new, and they are
+neighbor tuples, grown by graph_core.fresh_partners (the one place where
+neighbor lists grow, here and in the constructive chain), and its sorted
+edges merged with the added ones. Only the fresh labels are new, and they are
 checked for freshness as they are made.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import compress
 
 from . import stable_core
 from .errors import InternalError, InvalidVertexError
-from .graph_core import Graph, flags_of, induced_subgraph, mask_of_flags
+from .graph_core import Graph, flags_of, fresh_partners, induced_subgraph, mask_of_flags
 from .tree_matching import internal_cover_matching, leaf_greedy_pairs
 
 
@@ -45,23 +45,6 @@ def _fresh_label(base: str, index: dict) -> str:
         k += 1
     index[cand] = len(index)
     return cand
-
-
-def fresh_partners(nbrs, pairs, universe) -> tuple[list, tuple]:
-    """The embedding step on the neighbor tuples ``nbrs`` of n vertices: each
-    vertex flagged in ``universe`` (one byte per vertex) that the matching
-    ``pairs`` leaves exposed gets a fresh partner n, n + 1, ... in ascending
-    order, appended to its tuple (above every old index, so it stays sorted).
-    Returns the grown lists and the added edges ``(v, w)``."""
-    exposed = bytearray(universe)
-    for x, y in pairs:
-        exposed[x] = exposed[y] = 0
-    nb = list(nbrs)
-    added = tuple(zip(compress(range(len(exposed)), exposed), count(len(nb))))
-    for v, w in added:
-        nb[v] += (w,)
-        nb.append((v,))
-    return nb, added
 
 
 def embed_perfect(g: Graph, mode: str = "any") -> Embedding:

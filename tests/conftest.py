@@ -19,11 +19,16 @@ test sees the same examples on every run.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
+import lmss
 from lmss import (AccessibilityFailure, Graph, FamilySpec, InternalError, Matching,
                   TooLargeForBruteForce, generate)
 from lmss.graph_core import bits_of, mask_of, set_of
@@ -595,6 +600,22 @@ def c4() -> Graph:
 
 def labels_to_set(g: Graph, *labels: str) -> frozenset:
     return frozenset(g.index_of(x) for x in labels)
+
+
+# -- fresh interpreters --------------------------------------------------------
+
+
+def fresh_python(code: str, *argv: str, stdin: str | None = None):
+    """The JSON value that ``code`` prints last, run by a new interpreter on
+    this lmss (nothing loaded before ``code`` imports it), with ``argv``
+    after its sys.argv[0]."""
+    src = os.path.dirname(os.path.dirname(lmss.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    res = subprocess.run([sys.executable, "-c", code, *argv], input=stdin, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0 and not res.stderr, res.stderr
+    return json.loads(res.stdout.splitlines()[-1])
 
 
 # -- acceptance reporting ------------------------------------------------------

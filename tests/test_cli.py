@@ -8,8 +8,10 @@ from itertools import count
 
 import pytest
 
+import lmss
 from lmss import AccessibilityFailure, InternalError, greedoid_engine
 from lmss.cli import main
+from conftest import fresh_python
 
 FIG1_TEXT = """# family: fig1
 # n: 6
@@ -259,6 +261,14 @@ class TestErrorPaths:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_64_bits_exit_2(self, capsys, monkeypatch, seed):
+        # either would draw another seed's tree (2^64 - 1's, 0's) under its own metadata
+        code, out, err = run(capsys, monkeypatch,
+                             ["gen", "--family", "random_tree", "-n", "9", "--seed", seed])
+        assert (code, out) == (2, "")
+        assert err == f"error: seed must lie in [0, 2^64), not {seed}\n"
+
     def test_bad_family_exit_2(self, capsys, monkeypatch):
         code, _, err = run(capsys, monkeypatch, ["gen", "--family", "cycle", "-n", "3"])
         assert code == 2 and "cycle" in err
@@ -338,6 +348,93 @@ class TestSelftest:
         # every other criterion is still run in full and reported unchanged
         assert lines[:criterion - 1] + lines[criterion:] == \
             passing[:criterion - 1] + passing[criterion:]
+
+
+STARTUP = """
+import contextlib, io, json, sys
+import lmss.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = lmss.cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("lmss."))]))
+"""
+
+SUBMODULES = ("cli_io", "errors", "graph_core", "graph_families", "greedoid_engine",
+              "perfect_embedding", "stable_core", "tree_matching")
+
+
+class TestStartup:
+    """A command loads only the modules it runs, and the package's names load
+    on first use; each case runs in a new interpreter."""
+
+    ENGINE = {"lmss.greedoid_engine", "lmss.tree_matching", "lmss.perfect_embedding",
+              "lmss.selftest"}
+
+    @pytest.mark.parametrize("argv, unloaded", [
+        (["alpha", "GRAPH"], ENGINE),
+        (["psi", "GRAPH"], ENGINE),
+        (["psi", "GRAPH", "--set", "a,c"], ENGINE),
+        (["omega", "GRAPH"], ENGINE),
+        (["gen", "--family", "random_tree", "-n", "9", "--seed", "1"], ENGINE),
+        (["chain", "GRAPH", "--set", "a,d,e"],
+         {"lmss.tree_matching", "lmss.perfect_embedding", "lmss.selftest"}),
+        (["chain", "TREE", "--set", "a,d,e", "--strategy", "constructive"],
+         {"lmss.tree_matching", "lmss.perfect_embedding", "lmss.selftest"}),
+        (["exchange", "GRAPH", "--s1", "a", "--s2", "d,e"],
+         {"lmss.tree_matching", "lmss.perfect_embedding", "lmss.selftest"}),
+        (["nt-extend", "GRAPH", "--s1", "a", "--s2", "a,d,e"],
+         {"lmss.tree_matching", "lmss.perfect_embedding", "lmss.selftest"}),
+        (["verify-greedoid", "GRAPH"],
+         {"lmss.tree_matching", "lmss.perfect_embedding", "lmss.selftest"}),
+    ], ids=lambda x: " ".join(x) if isinstance(x, list) else "")
+    def test_command_loads_only_what_it_runs(self, fig1_file, tmp_path, argv, unloaded):
+        tree = tmp_path / "tree.graph"  # a-b-c-d with e on c
+        tree.write_text("p 5 4\nv a\nv b\nv c\nv d\nv e\ne a b\ne b c\ne c d\ne c e\n")
+        argv = [{"GRAPH": fig1_file, "TREE": str(tree)}.get(a, a) for a in argv]
+        code, loaded = fresh_python(STARTUP, *argv)
+        assert code in (0, 1)
+        assert not unloaded & set(loaded), loaded
+        # graph_families only for gen, which generates
+        assert ("lmss.graph_families" in loaded) == (argv[0] == "gen")
+
+    def test_every_public_name_resolves_to_its_home_object(self):
+        names, homes, listed = fresh_python("""
+import json, lmss
+listed = dir(lmss)  # before any name has loaded
+homes = {}
+for name in lmss.__all__:
+    obj = getattr(lmss, name)
+    home = "graph_core" if name == "VertexSet" else obj.__module__.removeprefix("lmss.")
+    homes[name] = getattr(getattr(lmss, home), name) is obj and home
+print(json.dumps([lmss.__all__, homes, listed]))
+""")
+        assert names == lmss.__all__ == sorted(lmss.__all__) and len(names) == 62
+        assert all(homes.values()) and set(homes.values()) == set(SUBMODULES)
+        # what an eager import listed: the names, the submodules and the dunders
+        assert listed == sorted({*names, *SUBMODULES, "__all__", "__builtins__", "__cached__",
+                                 "__doc__", "__file__", "__loader__", "__name__",
+                                 "__package__", "__path__", "__spec__", "__version__"})
+
+    def test_star_import_binds_every_name(self):
+        bound = fresh_python("""
+import json
+from lmss import *
+import lmss
+print(json.dumps([name for name in lmss.__all__ if globals()[name] is getattr(lmss, name)]))
+""")
+        assert bound == lmss.__all__
+
+    def test_unknown_name_raises_attribute_error(self):
+        message, loaded = fresh_python("""
+import json, sys, lmss
+try:
+    lmss.no_such_name
+except AttributeError as exc:
+    print(json.dumps([str(exc), sorted(m for m in sys.modules if m.startswith("lmss."))]))
+""")
+        assert message == "module 'lmss' has no attribute 'no_such_name'"
+        assert loaded == []
+        with pytest.raises(AttributeError, match="no_such_name"):
+            lmss.no_such_name
 
 
 class TestSubprocessContract:

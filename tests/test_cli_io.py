@@ -27,7 +27,7 @@ from lmss import (
     verify_konig_egervary,
 )
 from lmss.cli_io import to_jsonable
-from conftest import labels_to_set
+from conftest import fresh_python, labels_to_set
 
 
 @st.composite
@@ -246,6 +246,64 @@ class TestEmit:
         a = emit(verify_greedoid(fig1), "json", graph=fig1)
         b = emit(verify_greedoid(fig1), "json", graph=fig1)
         assert a == b
+
+
+RECORD_OUTPUTS = """
+import json, sys
+from lmss.cli_io import GraphDocument, emit, parse_graph
+loaded = sorted(m for m in sys.modules if m.startswith("lmss."))
+out = {}
+
+def shapes(name, obj, graph=None):
+    for fmt in ("text", "json", "dot"):
+        try:
+            out[f"{name} {fmt}"] = emit(obj, fmt, graph=graph)
+        except Exception as exc:
+            out[f"{name} {fmt}"] = f"{type(exc).__name__}: {exc}"
+
+doc = parse_graph(sys.stdin.read())
+t = doc.graph  # a-b-c-d with e on c
+shapes("unknown", object())
+shapes("unknown with graph", object(), t)
+shapes("document", doc)
+shapes("graph", t)
+shapes("marked set", frozenset({0, 3}), t)
+shapes("dict", {"k": [1, "v"]})
+from lmss import stable_core  # each record just after its module loads
+shapes("stable set", stable_core.alpha(t), t)
+shapes("family", stable_core.enumerate_psi(t), t)
+from lmss import tree_matching
+shapes("matching", tree_matching.internal_cover_matching(t), t)
+shapes("ke report", tree_matching.verify_konig_egervary(t), t)
+from lmss import perfect_embedding
+shapes("embedding", perfect_embedding.embed_perfect(t), t)
+from lmss import greedoid_engine
+shapes("chain", greedoid_engine.chain_decompose(t, {0, 3, 4}, "constructive"), t)
+shapes("exchange", greedoid_engine.exchange_witness(t, set(), {0}), t)
+shapes("report", greedoid_engine.verify_greedoid(t), t)
+print(json.dumps([loaded, out]))
+"""
+
+TREE_TEXT = "p 5 4\nv a\nv b\nv c\nv d\nv e\ne a b\ne b c\ne c d\ne c e\n"
+
+
+class TestEmitWithoutPreloadedModules:
+    """emit recognises each record without importing its module: in a new
+    interpreter, where each record's module loads just before the record is
+    built, every record gives the bytes (or the refusal) it gives with every
+    module loaded first."""
+
+    def test_records_emit_alike_loaded_late_or_early(self):
+        loaded, late = fresh_python(RECORD_OUTPUTS, stdin=TREE_TEXT)
+        assert loaded == ["lmss.cli_io", "lmss.errors", "lmss.graph_core"]
+        _, early = fresh_python("from lmss import *\n" + RECORD_OUTPUTS, stdin=TREE_TEXT)
+        assert late == early and len(late) == 14 * 3
+        assert late["unknown json"] == late["unknown text"] == \
+            "UnsupportedFormatError: cannot serialize object"
+        assert late["unknown dot"] == late["report dot"] == \
+            "UnsupportedFormatError: dot output needs a graph (plus optional vertex set)"
+        assert late["stable set dot"].count("fillcolor=gray") == 3
+        assert json.loads(late["embedding json"])["added_edges"] == [["e", "e_w"]]
 
 
 # -- the JSON writer against the stdlib encoder --------------------------------

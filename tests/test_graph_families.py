@@ -12,6 +12,7 @@ from lmss import (
     enumerate_labeled_trees,
     fig7_exchange_pair,
     generate,
+    graph_families,
     is_local_max_stable,
     prufer_decode,
     prufer_encode,
@@ -224,6 +225,22 @@ class TestRandomFamilies:
             assert dec.is_forest
             multi += len(dec.components) > 1
         assert multi > 5  # default deletion probability yields real forests
+
+    @pytest.mark.parametrize("family", ["random_tree", "random_forest"])
+    def test_seed_outside_64_bits_refused_before_drawing(self, family, monkeypatch):
+        # SplitMix64 keeps a seed modulo 2^64: -1 would draw the graph of
+        # 2^64 - 1, and 2^64 the graph of 0, under other recorded seeds
+        ends = [generate(FamilySpec(family, 9, seed=s)) for s in (0, (1 << 64) - 1)]
+        assert ends[0] != ends[1]
+
+        def no_draw(seed):
+            raise AssertionError("drawn")
+
+        monkeypatch.setattr(graph_families, "SplitMix64", no_draw)
+        for seed in (-1, 1 << 64, -(1 << 64), 1 << 70):
+            with pytest.raises(InvalidFamilyParameterError) as exc:
+                generate(FamilySpec(family, 9, seed=seed))
+            assert str(exc.value) == f"seed must lie in [0, 2^64), not {seed}"
 
     def test_splitmix_reference_values(self):
         # first outputs for seed 0, fixed by the algorithm definition
