@@ -91,13 +91,38 @@ def parse_graph(text) -> GraphDocument:
     edges: list[tuple[int, int]] = []
     seen_edges = set()
     n = m = edge_lines = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line[:line.index("#")]
         fields = line.split()
+        if not fields:
+            continue
         kind = fields[0]
-        if header is None:
+        if kind == "e" and header is not None:  # edge lines are most lines: tested first
+            if len(fields) != 3:
+                raise GraphSyntaxError(lineno, "expected 'e <label> <label>'")
+            if len(labels) != n:
+                raise GraphSyntaxError(lineno, "edge line before all vertices are declared")
+            if edge_lines >= m:
+                raise GraphSyntaxError(lineno, f"more than {m} edge lines")
+            edge_lines += 1
+            _, a, b = fields
+            u = index.get(a)
+            if u is None:
+                raise UnknownVertexError(lineno, a)
+            v = index.get(b)
+            if v is None:
+                raise UnknownVertexError(lineno, b)
+            if u == v:  # labels and indices correspond one to one
+                raise SelfLoopError(f"line {lineno}: self-loop at {a!r}")
+            e = (u, v) if u < v else (v, u)
+            if e in seen_edges:
+                warnings.warn(DuplicateEdgeWarning(
+                    f"line {lineno}: duplicate edge {a} {b} collapsed"))
+                continue
+            seen_edges.add(e)
+            edges.append(e)
+        elif header is None:
             if kind != "p" or len(fields) != 3:
                 raise GraphSyntaxError(lineno, "expected header 'p <n> <m>'")
             try:
@@ -119,27 +144,6 @@ def parse_graph(text) -> GraphDocument:
                 raise GraphSyntaxError(lineno, f"duplicate vertex label {lbl!r}")
             index[lbl] = len(labels)
             labels.append(lbl)
-        elif kind == "e":
-            if len(fields) != 3:
-                raise GraphSyntaxError(lineno, "expected 'e <label> <label>'")
-            if len(labels) != n:
-                raise GraphSyntaxError(lineno, "edge line before all vertices are declared")
-            if edge_lines >= m:
-                raise GraphSyntaxError(lineno, f"more than {m} edge lines")
-            edge_lines += 1
-            a, b = fields[1], fields[2]
-            for lbl in (a, b):
-                if lbl not in index:
-                    raise UnknownVertexError(lineno, lbl)
-            if a == b:
-                raise SelfLoopError(f"line {lineno}: self-loop at {a!r}")
-            u, v = sorted((index[a], index[b]))
-            if (u, v) in seen_edges:
-                warnings.warn(DuplicateEdgeWarning(
-                    f"line {lineno}: duplicate edge {a} {b} collapsed"))
-                continue
-            seen_edges.add((u, v))
-            edges.append((u, v))
         else:
             raise GraphSyntaxError(lineno, f"unknown line type {kind!r}")
     if header is None:

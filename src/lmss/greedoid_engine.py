@@ -366,8 +366,9 @@ def _constructive_chain_order(g: Graph, walk) -> list:
     S and N[S] as flags and the peel of N[S], whose pairs are that matching.
     The embedded forest is g's neighbor lists grown by fresh_partners, with
     the vertices outside N[S] flagged dead. Each component's vertices then
-    give its live degrees and pendants. ``walk``'s flags are updated in
-    place."""
+    give its live degrees and pendants. ``walk``'s S and N[S] flags are
+    grown in place; its peel, the graph's memoised Graph.peel when N[S] is
+    every vertex, is only read."""
     n = g.vertex_count
     chosen, live, peel = walk
     nb, _ = fresh_partners(g._nbrs, peel[1], live)

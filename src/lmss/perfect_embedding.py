@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
-from . import stable_core
 from .errors import InternalError, InvalidVertexError
 from .graph_core import Graph, flags_of, fresh_partners, induced_subgraph, mask_of_flags
 from .tree_matching import internal_cover_matching, leaf_greedy_pairs
@@ -85,6 +84,8 @@ def psi_restrict_check(host: Graph, sub_vertices, a) -> bool:
     only shrink its neighborhood, so this check must come out true; callers
     use it to validate that implication on concrete instances.
     """
+    from . import stable_core  # here, so that embedding alone never loads it
+
     sub_vertices, sub = host.check_vertices_mask(sub_vertices)
     a = host.check_vertices_mask(a)[1]
     if a & ~sub:

@@ -10,14 +10,15 @@ lists); alpha of any other graph is one exhaustive search of the whole
 graph. One kernel, psi_walk (in_psi_mask is its verdict), answers every
 direct membership question on flags (one byte per vertex): one walk over
 S's neighbour lists checks stability and builds N[S], the peel of N[S]
-follows, and the search covers only the cyclic core the peel leaves,
-taking a vertex with at most one neighbour left without branching. A
-member's walk and peel are returned, for the constructive chain to read on.
-Each search refuses more vertices than a configurable cap. Neighbour masks
-are built only by the subset tables and, for the vertices it searches, by
-the search. Families leave as frozensets in one canonical order, by size
-and then by ascending index tuple; the tuples are joined from per-byte
-tables built once at import.
+follows (when N[S] is every vertex, as for the alpha set, that is the
+memoised Graph.peel, so a forest is peeled once), and the search covers
+only the cyclic core the peel leaves, taking a vertex with at most one
+neighbour left without branching. A member's walk and peel are returned,
+for the constructive chain to read on. Each search refuses more vertices
+than a configurable cap. Neighbour masks are built only by the subset
+tables and, for the vertices it searches, by the search. Families leave
+as frozensets in one canonical order, by size and then by ascending index
+tuple; the tuples are joined from per-byte tables built once at import.
 """
 
 from __future__ import annotations
@@ -331,14 +332,16 @@ def psi_walk(g: Graph, mask: int, cap: int | None = None):
     by N[S]. One walk over S's neighbour lists checks stability and builds
     N[S]. Each peel move keeps alpha, so only the core the peel leaves is
     searched, and only a core of more than ``cap`` vertices is refused. The
-    empty set qualifies.
+    empty set qualifies. When N[S] is every vertex, the peel read is the
+    graph's memoised Graph.peel (the same kernel on the same flags), shared
+    with alpha and the matchings: it is only read, never modified.
     """
     nbrs = g._nbrs
     members = flags_of(mask, g.vertex_count)
     closed = closed_flags(nbrs, members)
     if closed is None:
         return None
-    peel = leaf_peel(nbrs, closed)
+    peel = leaf_peel(nbrs, closed) if 0 in closed else g.peel
     taken, _, leftover = peel
     size = taken.count(1)
     if 1 in leftover:

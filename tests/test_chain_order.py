@@ -23,8 +23,8 @@ from lmss import (
 )
 from lmss import graph_core, greedoid_engine, stable_core
 from lmss.greedoid_engine import PrefixChain
-from lmss.graph_core import mask_of, mask_of_flags, set_of
-from lmss.stable_core import in_psi_mask
+from lmss.graph_core import closed_neighborhood, decompose, mask_of, mask_of_flags, set_of
+from lmss.stable_core import in_psi_mask, is_local_max_stable
 from conftest import (
     forests,
     graphs,
@@ -201,11 +201,17 @@ def test_constructive_refuses_a_core_past_the_cap_first():
 
 def test_constructive_chain_peels_the_neighborhood_once(monkeypatch):
     # the membership check walks and peels N[S], and the chain reads that
-    # peel on, with or without an oracle
+    # peel on, with or without an oracle. On the alpha set N[S] is every
+    # vertex, so the peel is g.peel, which alpha memoised: the chain and the
+    # membership test peel nothing. The alpha set cut to one component is a
+    # member whose N[S] misses a vertex, and N[S] is peeled once.
     cases = []
     for n, oracle in ((300, False), (12, True)):
         g = generate(FamilySpec("random_forest", n=n, seed=4, delete_prob=0.15))
-        cases.append((g, alpha(g).set, SubsetOracle(g) if oracle else None))  # g.peel memoised
+        s = alpha(g).set  # g.peel memoised
+        part = s & decompose(g).components[0]
+        assert closed_neighborhood(g, part) != set(range(n)) and in_psi_mask(g, mask_of(part))
+        cases.append((g, s, part, SubsetOracle(g) if oracle else None))
     peel = graph_core.leaf_peel
     calls = []
 
@@ -216,7 +222,10 @@ def test_constructive_chain_peels_the_neighborhood_once(monkeypatch):
     for module in (graph_core, stable_core, greedoid_engine):
         if hasattr(module, "leaf_peel"):
             monkeypatch.setattr(module, "leaf_peel", counted)
-    for g, s, oracle in cases:
+    for g, s, part, oracle in cases:
         calls.clear()
         cert = chain_decompose(g, s, "constructive", oracle=oracle)
-        assert calls == [g.vertex_count] and cert.chain[-1] == s
+        assert is_local_max_stable(g, s)
+        assert calls == [] and cert.chain[-1] == s
+        cert = chain_decompose(g, part, "constructive", oracle=oracle)
+        assert calls == [g.vertex_count] and cert.chain[-1] == part

@@ -385,6 +385,9 @@ class TestStartup:
          {"lmss.tree_matching", "lmss.perfect_embedding", "lmss.selftest"}),
         (["verify-greedoid", "GRAPH"],
          {"lmss.tree_matching", "lmss.perfect_embedding", "lmss.selftest"}),
+        (["embed", "TREE"], {"lmss.stable_core", "lmss.greedoid_engine", "lmss.selftest"}),
+        (["embed", "TREE", "--pendant-only"],
+         {"lmss.stable_core", "lmss.greedoid_engine", "lmss.selftest"}),
     ], ids=lambda x: " ".join(x) if isinstance(x, list) else "")
     def test_command_loads_only_what_it_runs(self, fig1_file, tmp_path, argv, unloaded):
         tree = tmp_path / "tree.graph"  # a-b-c-d with e on c

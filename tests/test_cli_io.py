@@ -75,6 +75,9 @@ class TestParseGraph:
     def test_comments_and_blank_lines(self):
         text = "# a graph\n\np 2 1   # header\nv u\n\nv v\ne u v\n"
         assert parse_graph(text).graph.edge_count == 1
+        # tabs and non-ASCII whitespace separate fields too
+        text = "p\t3 2 # header\nv\u00a0a\nv b\u2003\n\tv c\ne a\tb#x\ne\u3000c b\n"
+        assert parse_graph(text) == parse_graph("p 3 2\nv a\nv b\nv c\ne a b\ne c b\n")
 
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoopError):
@@ -86,10 +89,11 @@ class TestParseGraph:
         assert exc.value.line == 4
 
     def test_duplicate_edge_warns_and_collapses(self):
-        text = "p 2 2\nv a\nv b\ne a b\ne b a\n"
-        with pytest.warns(DuplicateEdgeWarning):
+        text = "p 2 2\nv a\nv b\ne a b\ne\tb a  # again\n"
+        with pytest.warns(DuplicateEdgeWarning) as record:
             doc = parse_graph(text)
         assert doc.graph.edge_count == 1
+        assert [str(w.message) for w in record] == ["line 5: duplicate edge b a collapsed"]
 
     def test_syntax_errors_carry_line_numbers(self):
         cases = [
@@ -122,18 +126,49 @@ class TestParseGraph:
     def test_empty_graph(self):
         assert parse_graph("p 0 0\n").graph.vertex_count == 0
 
-    @pytest.mark.parametrize("text, line, message", [
-        ("p -1 0\n", 1, "vertex/edge counts must be non-negative"),
-        ("p 2 1\nv a\nv b\ne a b\nv c\n", 5, "vertex line after edge lines"),
-        ("p 2 1\nv a\nv b\ne a\n", 4, "expected 'e <label> <label>'"),
-        ("p 2 1\nv a\nv b\ne a b\ne b a\n", 5, "more than 1 edge lines"),
-        ("p 3 0\nv a\nv b\n", 1, "declared 3 vertices but found 2"),
+    # one case per raise site, plus the ways a line's fields are cut: a
+    # comment, tabs and non-ASCII whitespace
+    @pytest.mark.parametrize("text, error, line, message", [
+        ("p -1 0\n", GraphSyntaxError, 1, "vertex/edge counts must be non-negative"),
+        ("p 2 1\nv a\nv b\ne a b\nv c\n", GraphSyntaxError, 5, "vertex line after edge lines"),
+        ("p 2 1\nv a\nv b\ne a\n", GraphSyntaxError, 4, "expected 'e <label> <label>'"),
+        ("p 2 1\nv a\nv b\ne a b\ne b a\n", GraphSyntaxError, 5, "more than 1 edge lines"),
+        ("p 3 0\nv a\nv b\n", GraphSyntaxError, 1, "declared 3 vertices but found 2"),
+        ("e a b\np 2 1\n", GraphSyntaxError, 1, "expected header 'p <n> <m>'"),
+        ("p 2 x\n", GraphSyntaxError, 1, "vertex/edge counts must be integers"),
+        ("p 2 0\nv a b\n", GraphSyntaxError, 2, "expected 'v <label>'"),
+        ("p 1 0\nv a\nv b\n", GraphSyntaxError, 3, "more than 1 vertex lines"),
+        ("p 2 0\nv a\nv a\n", GraphSyntaxError, 3, "duplicate vertex label 'a'"),
+        ("p 2 1\nv a\ne a b\n", GraphSyntaxError, 3,
+         "edge line before all vertices are declared"),
+        ("p 2 1\nv a\nv b\ne z b\n", UnknownVertexError, 4,
+         "edge references undeclared vertex 'z'"),
+        ("p 2 1\nv a\nv b\ne a z\n", UnknownVertexError, 4,
+         "edge references undeclared vertex 'z'"),
+        ("p 2 1\nv a\nv b\ne y z\n", UnknownVertexError, 4,
+         "edge references undeclared vertex 'y'"),
+        ("p 2 1\nv a\nv b\ne b b\n", SelfLoopError, 4, "self-loop at 'b'"),
+        ("p 2 1\np 2 1\n", GraphSyntaxError, 2, "unknown line type 'p'"),
+        ("# only a comment\n\n", GraphSyntaxError, 1, "empty input: missing 'p <n> <m>' header"),
+        ("p 2 2\nv a\nv b\ne a b\n", GraphSyntaxError, 1, "declared 2 edges but found 1"),
+        ("p 2 1\nv a\nv b\ne a # b\n", GraphSyntaxError, 4, "expected 'e <label> <label>'"),
+        ("p 2 1\nv a#b\nv b\n", GraphSyntaxError, 1, "declared 1 edges but found 0"),
+        ("p 2 0\nv\ta\tb\n", GraphSyntaxError, 2, "expected 'v <label>'"),
+        ("p 2 0\nv a\u00a0b\n", GraphSyntaxError, 2, "expected 'v <label>'"),
+        ("p\u30002 0\nv a\nv\u2003a\n", GraphSyntaxError, 3, "duplicate vertex label 'a'"),
     ], ids=["negative count", "vertex after edges", "one-label edge",
-            "edge lines past the count", "vertex lines short of the count"])
-    def test_refusals_name_their_line(self, text, line, message):
-        with pytest.raises(GraphSyntaxError, match=f"^line {line}: {re.escape(message)}$") as exc:
+            "edge lines past the count", "vertex lines short of the count",
+            "edge before header", "non-integer count", "vertex with two labels",
+            "vertex lines past the count", "duplicate label", "edge before all vertices",
+            "unknown first end", "unknown second end", "both ends unknown", "self-loop",
+            "second header", "no header", "edge lines short of the count",
+            "trailing comment cuts an edge", "comment inside a label", "tab separators",
+            "no-break space separator", "ideographic and em space separators"])
+    def test_refusals_name_their_line(self, text, error, line, message):
+        with pytest.raises(error, match=f"^line {line}: {re.escape(message)}$") as exc:
             parse_graph(text)
-        assert exc.value.line == line
+        assert type(exc.value) is error
+        assert getattr(exc.value, "line", line) == line  # SelfLoopError names it in the text only
 
 
 class TestRoundTrip:

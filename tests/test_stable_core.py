@@ -8,11 +8,14 @@ from lmss import (
     FamilySpec,
     Graph,
     InvalidVertexError,
+    NotAForestError,
+    NotInPsiError,
     SplitMix64,
     SubsetOracle,
     TooLargeForBruteForce,
     TooLargeForEnumeration,
     alpha,
+    chain_decompose,
     enumerate_labeled_trees,
     enumerate_omega,
     enumerate_psi,
@@ -23,11 +26,13 @@ from lmss import (
     psi_restrict_check,
     stable_core,
 )
-from lmss.graph_core import bits_of, flags_of, leaf_peel, mask_of, mask_of_flags, set_of
+from lmss.graph_core import (bits_of, closed_flags, flags_of, leaf_peel, mask_of,
+                             mask_of_flags, set_of)
 from conftest import (
     closed_mask_of,
     cycle,
     cyclic_cores,
+    forests,
     graphs,
     labels_to_set,
     naive_adjacency,
@@ -313,6 +318,40 @@ class TestIsLocalMaxStable:
 
         check()
         assert sum(routed) > len(routed) // 2
+
+    @given(st.one_of(forests(max_n=40), graphs(), cyclic_cores()), st.data())
+    def test_a_walk_over_every_vertex_reads_the_graph_peel(self, g, data):
+        # a maximal stable set S has N[S] = V, so psi_walk reads g.peel, memoised
+        # now or before; it must equal a fresh peel of N[S], and neither the
+        # membership test nor the constructive chain, which grows the walk's
+        # flags in place, may change the shared memo
+        n = g.vertex_count
+        s = 0
+        for v in data.draw(st.permutations(range(n))):
+            if not g.adjacency_mask(v) & s:
+                s |= 1 << v
+        if data.draw(st.booleans()):  # a maximum set, so that the walk is a member's
+            s = SubsetOracle(g).omega_masks()[0] if n <= 20 else mask_of_flags(g.peel[0])
+        if data.draw(st.booleans()):
+            g.peel  # memoised before the walk; else the walk memoises it
+        closed = closed_flags(g._nbrs, flags_of(s, n))
+        assert closed == b"\x01" * n
+        walk = stable_core.psi_walk(g, s)
+        shared = g.peel
+        frozen = tuple(map(bytes, (shared[0], shared[2]))), shared[1]
+        # S is maximal, so it is a member iff it is maximum
+        a = shared[0].count(1) if g.is_forest else SubsetOracle(g).alpha()
+        assert (walk is not None) == (s.bit_count() == a)
+        if walk is not None:
+            assert walk[2] is shared and walk[2] == leaf_peel(g._nbrs, closed)
+        assert is_local_max_stable(g, set_of(s)) == (walk is not None)
+        if walk is not None and g.is_forest:
+            assert chain_decompose(g, set_of(s), "constructive").chain[-1] == set_of(s)
+        else:
+            with pytest.raises(NotInPsiError if walk is None else NotAForestError):
+                chain_decompose(g, set_of(s), "constructive")
+        assert g.peel is shared
+        assert (tuple(map(bytes, (shared[0], shared[2]))), shared[1]) == frozen
 
 
 class TestEnumeratePsi:
