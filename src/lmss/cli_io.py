@@ -21,9 +21,10 @@ its exception.
 The parser checks labels and edges as it reads them, and builds its graph
 without Graph's own validation, which would repeat those checks.
 
-This module imports no module that defines a result record: it finds each
-record's class among the loaded modules, so writing an alpha set never
-loads the greedoid engine.
+This module imports no module that defines a result record: it reads each
+record's home module from the package's name table (lmss._HOME) and finds
+the class among the loaded modules, so writing an alpha set never loads the
+greedoid engine.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 
+from . import _HOME
 from .errors import (
     GraphSyntaxError,
     SelfLoopError,
@@ -45,20 +47,14 @@ FORMAT_VERSION = "1"
 
 _encode_str = json.encoder.encode_basestring  # the C encoder's, as ensure_ascii=False uses
 
-_RECORD_HOME = {  # result record -> the module that defines it
-    "StableSetResult": "stable_core", "PsiFamily": "stable_core",
-    "Matching": "tree_matching", "KonigEgervaryReport": "tree_matching",
-    "Embedding": "perfect_embedding", "ChainCertificate": "greedoid_engine",
-    "ExchangeWitness": "greedoid_engine", "GreedoidReport": "greedoid_engine",
-}
-
 
 def _record(name: str):
-    """The record class ``name`` when its module is loaded, else the empty
-    tuple, which isinstance matches nothing against. An instance exists only
-    once its module has loaded, so emit recognises every record without
-    importing a module the caller did not."""
-    module = sys.modules.get(f"{__package__}.{_RECORD_HOME[name]}")
+    """The record class ``name`` when its home module, as the package's name
+    table gives it, is loaded, else the empty tuple, which isinstance matches
+    nothing against. An instance exists only once its module has loaded, so
+    emit recognises every record without importing a module the caller did
+    not."""
+    module = sys.modules.get(f"{__package__}.{_HOME[name]}")
     return () if module is None else getattr(module, name)
 
 

@@ -3,8 +3,11 @@
 The fig* families are fixed example graphs significant to the greedoid
 counterexample suite; their distinguished vertices carry conventional
 labels (a..f, u/v/x/y/z, a1..an) and synthetic labels p1, p2, ... fill the
-remaining positions in a fixed order. Random families draw from SplitMix64
-so that one 64-bit seed pins the output bit-for-bit.
+remaining positions in a fixed order. The fixed figures fig1, fig2 and
+fig4_tree are data: the _FIGURES table holds each one's labels in index
+order and its edges as label pairs, and a figure's order is its number of
+labels. Random families draw from SplitMix64 so that one 64-bit seed pins
+the output bit-for-bit.
 """
 
 from __future__ import annotations
@@ -49,7 +52,17 @@ class SplitMix64:
 FAMILIES = ("path", "cycle", "complete", "star", "fig1", "fig2", "fig4_tree",
             "fig7", "random_tree", "random_forest")
 
-_FIXED_ORDER = {"fig1": 6, "fig2": 9, "fig4_tree": 11}
+_FIGURES = {  # fixed figure -> (labels in index order, edges as label pairs)
+    "fig1": (("a", "b", "c", "d", "e", "f"),
+             (("a", "b"), ("b", "c"), ("c", "d"), ("c", "e"), ("d", "f"), ("e", "f"))),
+    "fig2": (("u", "p1", "v", "p2", "y", "z", "p3", "x", "p4"),
+             (("u", "p1"), ("p1", "v"), ("v", "p2"), ("p2", "y"), ("y", "z"),
+              ("u", "p3"), ("p1", "p3"), ("v", "p3"),
+              ("p2", "x"), ("y", "p4"), ("z", "p4"), ("x", "p4"))),
+    "fig4_tree": (("b", "p1", "c", "p2", "p3", "p4", "p5", "a", "d", "p6", "e"),
+                  (("b", "p1"), ("p1", "c"), ("c", "p2"), ("p2", "p3"), ("p3", "p4"),
+                   ("b", "p5"), ("p1", "a"), ("p2", "d"), ("p4", "e"), ("d", "p6"))),
+}
 _MIN_ORDER = {"path": 1, "cycle": 4, "complete": 1, "star": 1, "fig7": 6,
               "random_tree": 1, "random_forest": 1}
 
@@ -156,27 +169,6 @@ def prufer_encode(n: int, edges) -> tuple[int, ...]:
     return tuple(seq)
 
 
-def _fig1() -> Graph:
-    return Graph.from_label_pairs(
-        ["a", "b", "c", "d", "e", "f"],
-        [("a", "b"), ("b", "c"), ("c", "d"), ("c", "e"), ("d", "f"), ("e", "f")])
-
-
-def _fig2() -> Graph:
-    labels = ["u", "p1", "v", "p2", "y", "z", "p3", "x", "p4"]
-    pairs = [("u", "p1"), ("p1", "v"), ("v", "p2"), ("p2", "y"), ("y", "z"),
-             ("u", "p3"), ("p1", "p3"), ("v", "p3"),
-             ("p2", "x"), ("y", "p4"), ("z", "p4"), ("x", "p4")]
-    return Graph.from_label_pairs(labels, pairs)
-
-
-def _fig4_tree() -> Graph:
-    labels = ["b", "p1", "c", "p2", "p3", "p4", "p5", "a", "d", "p6", "e"]
-    pairs = [("b", "p1"), ("p1", "c"), ("c", "p2"), ("p2", "p3"), ("p3", "p4"),
-             ("b", "p5"), ("p1", "a"), ("p2", "d"), ("p4", "e"), ("d", "p6")]
-    return Graph.from_label_pairs(labels, pairs)
-
-
 def _fig7(n: int) -> Graph:
     labels = [f"a{i + 1}" for i in range(n)]
     edges = [(i, i + 1) for i in range(n - 3)]
@@ -202,11 +194,11 @@ def generate(spec: FamilySpec) -> Graph:
     if fam not in FAMILIES:
         raise InvalidFamilyParameterError(f"unknown family {fam!r}")
     n = None if spec.n is None else _integer(spec.n, "n")
-    if fam in _FIXED_ORDER:
-        want = _FIXED_ORDER[fam]
-        if n not in (None, want):
-            raise InvalidFamilyParameterError(f"{fam} has exactly {want} vertices")
-        return {"fig1": _fig1, "fig2": _fig2, "fig4_tree": _fig4_tree}[fam]()
+    if fam in _FIGURES:
+        labels, pairs = _FIGURES[fam]
+        if n not in (None, len(labels)):
+            raise InvalidFamilyParameterError(f"{fam} has exactly {len(labels)} vertices")
+        return Graph.from_label_pairs(labels, pairs)
     if n is None:
         raise InvalidFamilyParameterError(f"family {fam!r} requires n")
     if n < _MIN_ORDER[fam]:

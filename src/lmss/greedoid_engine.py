@@ -18,9 +18,11 @@ otherwise the direct closed-neighborhood check of stable_core.in_psi_mask
 refused above ``cap``). The constructive chain is the one route that reads
 more than the verdict: on both routes, stable_core.psi_walk hands it the
 walk over N[S] and the peel of N[S] that decided membership, so each call
-walks and peels N[S] once. The engine then works on vertex bitmasks and
-join orders, and freezes sets only at the public boundary: a chain's
-prefixes only when they are read.
+walks and peels N[S] once. chain_decompose checks its strategy before any
+of this work, and with an oracle it re-checks a constructive chain with
+chain_is_valid, the one walk over a chain's prefixes. The engine then works
+on vertex bitmasks and join orders, and freezes sets only at the public
+boundary: a chain's prefixes only when they are read.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, chain
-from operator import eq, index, or_
+from itertools import chain
+from operator import eq, index
 from typing import NamedTuple, Optional
 
 from . import stable_core
@@ -405,32 +407,32 @@ def chain_decompose(g: Graph, s, strategy: str = "greedy_peel",
     that into perfect trees, peel pendant-K2 edges in each, and join the
     tree orders one after another.
 
+    An unknown strategy is refused with ValueError before any other check.
     Membership is read from the oracle when one is given, else checked
     directly; constructive reads on from the direct check's walk and peel of
     N[S] (stable_core.psi_walk) on both routes, and re-checks its chain
-    against the family only when an oracle is given, one lookup per prefix.
+    against the family only when an oracle is given, with chain_is_valid on
+    the certificate it built: one lookup per prefix.
     """
+    if strategy not in ("greedy_peel", "constructive"):
+        raise ValueError(f"unknown strategy {strategy!r}")
     _, s_mask = g.check_vertices_mask(s)
     in_psi = _membership(g, oracle, cap)  # an oracle for another graph is refused first
-    if strategy == "constructive":
-        walk = stable_core.psi_walk(g, s_mask, cap)
-        member = walk is not None
-    else:
-        member = in_psi(s_mask)
-    if not member:
-        raise NotInPsiError("target set is not a local maximum stable set")
     if strategy == "greedy_peel":
-        order = _greedy_peel_order(in_psi, s_mask)
-    elif strategy == "constructive":
-        if not g.is_forest:
-            raise NotAForestError("constructive strategy requires a forest")
-        order = _constructive_chain_order(g, walk)
-        masks = accumulate((1 << v for v in order), or_)
-        if oracle is not None and not all(map(in_psi, masks)):  # pragma: no cover - theory
-            raise InternalError("constructive chain left the family")
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return ChainCertificate(graph=g, chain=PrefixChain(order), strategy=strategy)
+        if not in_psi(s_mask):
+            raise NotInPsiError("target set is not a local maximum stable set")
+        return ChainCertificate(graph=g, chain=PrefixChain(_greedy_peel_order(in_psi, s_mask)),
+                                strategy=strategy)
+    walk = stable_core.psi_walk(g, s_mask, cap)
+    if walk is None:
+        raise NotInPsiError("target set is not a local maximum stable set")
+    if not g.is_forest:
+        raise NotAForestError("constructive strategy requires a forest")
+    cert = ChainCertificate(graph=g, chain=PrefixChain(_constructive_chain_order(g, walk)),
+                            strategy=strategy)
+    if oracle is not None and not chain_is_valid(cert, oracle):
+        raise InternalError("constructive chain left the family")
+    return cert
 
 
 def _scan(n: int, flags, members) -> tuple[list, list]:

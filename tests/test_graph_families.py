@@ -135,6 +135,27 @@ class TestNamedExampleGraphs:
             prefix = labels_to_set(fig4, *["a", "b", "c", "d", "e"][:k])
             assert is_local_max_stable(fig4, prefix)
 
+    @pytest.mark.parametrize("family, labels, edges", [
+        ("fig1", ("a", "b", "c", "d", "e", "f"),
+         [("a", "b"), ("b", "c"), ("c", "d"), ("c", "e"), ("d", "f"), ("e", "f")]),
+        ("fig2", ("u", "p1", "v", "p2", "y", "z", "p3", "x", "p4"),
+         [("u", "p1"), ("u", "p3"), ("p1", "v"), ("p1", "p3"), ("v", "p2"), ("v", "p3"),
+          ("p2", "y"), ("p2", "x"), ("y", "z"), ("y", "p4"), ("z", "p4"), ("x", "p4")]),
+        ("fig4_tree", ("b", "p1", "c", "p2", "p3", "p4", "p5", "a", "d", "p6", "e"),
+         [("b", "p1"), ("b", "p5"), ("p1", "c"), ("p1", "a"), ("c", "p2"), ("p2", "p3"),
+          ("p2", "d"), ("p3", "p4"), ("p4", "e"), ("d", "p6")]),
+    ])
+    def test_fixed_figure_pinned(self, family, labels, edges):
+        g = generate(FamilySpec(family))
+        assert g.labels == labels
+        assert [(g.labels[u], g.labels[v]) for u, v in g.edges] == edges
+        k = len(labels)
+        assert generate(FamilySpec(family, k)) == g
+        for n in (0, k - 1, k + 1):
+            with pytest.raises(InvalidFamilyParameterError) as exc:
+                generate(FamilySpec(family, n))
+            assert str(exc.value) == f"{family} has exactly {k} vertices"
+
     def test_fig7_unique_four_cycle(self):
         for n in (6, 7, 9):
             g = generate(FamilySpec("fig7", n))

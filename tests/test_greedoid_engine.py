@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from lmss import greedoid_engine, stable_core
 from lmss.graph_core import mask_of, set_of
 from lmss.greedoid_engine import PrefixChain
 from lmss.stable_core import canonical_sets
@@ -9,6 +10,7 @@ from lmss import (
     ChainCertificate,
     FamilySpec,
     Graph,
+    InternalError,
     InvalidVertexError,
     K2BaseCase,
     NotAForestError,
@@ -328,9 +330,32 @@ class TestChainDecompose:
         with pytest.raises(NotAForestError):
             chain_decompose(fig1, labels_to_set(fig1, "a"), "constructive")
 
-    def test_unknown_strategy(self, p6):
-        with pytest.raises(ValueError):
+    def test_unknown_strategy(self, p6, fig1, monkeypatch):
+        with pytest.raises(ValueError, match="^unknown strategy 'magic'$"):
             chain_decompose(p6, {0}, "magic")
+
+        def no_membership(*args, **kwargs):
+            raise AssertionError("membership checked before the strategy")
+
+        # refused before any membership work: a non-member, and a target on
+        # a graph with a cycle, which the check would search
+        monkeypatch.setattr(stable_core, "psi_walk", no_membership)
+        monkeypatch.setattr(greedoid_engine, "_membership", no_membership)
+        for g, s in ((p6, {2, 5}), (fig1, labels_to_set(fig1, "a", "c", "f"))):
+            with pytest.raises(ValueError, match="^unknown strategy 'magic'$"):
+                chain_decompose(g, s, "magic")
+
+    def test_constructive_recheck_catches_a_chain_outside_the_family(self, p6, monkeypatch):
+        build = greedoid_engine._constructive_chain_order
+        monkeypatch.setattr(greedoid_engine, "_constructive_chain_order",
+                            lambda g, walk: build(g, walk)[::-1])
+        s = frozenset({0, 2, 4})
+        oracle = SubsetOracle(p6)
+        with pytest.raises(InternalError, match="^constructive chain left the family$"):
+            chain_decompose(p6, s, "constructive", oracle=oracle)
+        cert = chain_decompose(p6, s, "constructive")  # no oracle: no re-check
+        assert cert.chain == PrefixChain((4, 2, 0))
+        assert not chain_is_valid(cert) and not chain_is_valid(cert, oracle=oracle)
 
     def test_strategies_agree_on_small_trees(self):
         for n in range(2, 7):
