@@ -364,9 +364,9 @@ class Graph:
     def peel(self) -> tuple[bytearray, tuple, bytearray]:
         """``leaf_peel`` of the whole graph, ``(taken, pairs, leftover)`` with
         the taken and leftover vertices as flags, computed once and shared by
-        every reader (alpha, the matchings, the embedding's checks, and
-        stable_core.psi_walk for a set whose N[S] is every vertex, whose
-        walk the constructive chain reads on): do not modify it."""
+        every reader (alpha, the matchings, and stable_core.psi_walk for a
+        set whose N[S] is every vertex, whose walk the constructive chain
+        reads on): do not modify it."""
         if self._peel is None:
             self._peel = leaf_peel(self._nbrs, b"\x01" * self.vertex_count)
         return self._peel

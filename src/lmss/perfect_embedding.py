@@ -12,12 +12,20 @@ neighbor tuples, grown by graph_core.fresh_partners (the one place where
 neighbor lists grow, here and in the constructive chain), and its sorted
 edges merged with the added ones. Only the fresh labels are new, and they are
 checked for freshness as they are made.
+
+The host is checked from the certificate it was built from, in O(n + k) for k
+added edges, with no walk or peel of its own: the matching plus the added
+edges must cover every host vertex exactly once by host edges, and each fresh
+vertex must be a leaf, so the host is a forest with a perfect matching. By
+Konig-Egervary (alpha + mu = n on a forest) its stability number is then half
+its order, which must equal alpha of the forest, read from the forest's
+memoised peel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 
 from .errors import InternalError, InvalidVertexError
 from .graph_core import Graph, flags_of, fresh_partners, induced_subgraph, mask_of_flags
@@ -53,6 +61,13 @@ def embed_perfect(g: Graph, mode: str = "any") -> Embedding:
     matching; mode="pendant_only" uses the internal-cover matching so that
     every added edge meets a pendant or isolated vertex of ``g``. Original
     vertices keep their indices and labels in the host.
+
+    The host is checked against the matching it was built from: the pairs
+    plus the added edges must be a perfect matching of it and every fresh
+    vertex a leaf, else InternalError("embedding failed to produce a perfect
+    forest"); and half its order, its alpha by Konig-Egervary, must be
+    alpha(g), else InternalError("embedding changed the stability number").
+    The host's own is_forest and peel stay lazy.
     """
     if mode not in ("any", "pendant_only"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -67,9 +82,18 @@ def embed_perfect(g: Graph, mode: str = "any") -> Embedding:
             labels.append(_fresh_label(labels[v], index))
         # g.edges and added are two sorted runs, which one timsort merges
         host = Graph._trusted(tuple(labels), index, [*g.edges, *added], nbrs)
-    if not host.is_forest or 2 * len(host.peel[1]) != host.vertex_count:
+    # pairs + added cover each host vertex once, by host edges (the cover is
+    # tested first, so the adjacency scans sum to O(m)); each fresh vertex is a leaf
+    nbrs = host._nbrs
+    cover = bytearray(host.vertex_count)
+    for x, y in chain(pairs, added):
+        if cover[x] or cover[y] or y not in nbrs[x]:
+            raise InternalError("embedding failed to produce a perfect forest")
+        cover[x] = cover[y] = 1
+    if 0 in cover or any(len(nb) != 1 for nb in nbrs[n:]):
         raise InternalError("embedding failed to produce a perfect forest")
-    if host.peel[0].count(1) != g.peel[0].count(1):
+    # Konig-Egervary on the perfect forest: alpha(host) = order / 2
+    if host.vertex_count != 2 * g.peel[0].count(1):
         raise InternalError("embedding changed the stability number")
     return Embedding(host=host, original_vertices=frozenset(range(n)), added_edges=added)
 

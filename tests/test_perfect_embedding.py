@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,7 +19,7 @@ from lmss import (
     maximum_matching,
     psi_restrict_check,
 )
-from lmss import perfect_embedding
+from lmss import graph_core, perfect_embedding
 from lmss.graph_core import bits_of, flags_of, mask_of, set_of
 from lmss.perfect_embedding import fresh_partners
 from conftest import (
@@ -75,6 +77,86 @@ class TestFreshPartners:
         for mode in ("any", "pendant_only"):
             with pytest.raises(InternalError,
                                match="embedding failed to produce a perfect forest"):
+                embed_perfect(two_branch_tree(), mode)
+
+
+def _dropped(g, pairs):  # a matching one short of maximum
+    return pairs[1:]
+
+
+def _non_edge(g, pairs):  # the first pair's partner swapped for an exposed non-neighbour
+    (x, _), *rest = pairs
+    covered = {v for pair in pairs for v in pair}
+    z = next(z for z in range(g.vertex_count)
+             if z != x and z not in covered and z not in g._nbrs[x])
+    return ((x, z), *rest)
+
+
+def _shared(g, pairs):  # the last pair's partner swapped for a neighbour another pair covers
+    *rest, (x, _) = pairs
+    covered = {v for pair in rest for v in pair}
+    return (*rest, (x, next(z for z in g._nbrs[x] if z in covered)))
+
+
+def _crossed(g, pairs):  # P4's two pairs recrossed into two non-edges, covering the same vertices
+    (a, b), (c, d) = pairs
+    return ((a, c), (b, d))
+
+
+class TestCertificateCheck:
+    @pytest.mark.parametrize("graph, corrupt, message", [
+        (two_branch_tree, _dropped, "embedding changed the stability number"),
+        (two_branch_tree, _non_edge, "embedding failed to produce a perfect forest"),
+        (two_branch_tree, _shared, "embedding failed to produce a perfect forest"),
+        # the host is g itself, a perfect forest with g's alpha: only the
+        # certificate shows that the pairs are no matching of it
+        (lambda: path(4), _crossed, "embedding failed to produce a perfect forest"),
+    ], ids=["dropped", "non_edge", "shared", "crossed"])
+    def test_corrupt_matching_is_caught(self, monkeypatch, graph, corrupt, message):
+        greedy = perfect_embedding.leaf_greedy_pairs
+        cover = perfect_embedding.internal_cover_matching
+        monkeypatch.setattr(perfect_embedding, "leaf_greedy_pairs",
+                            lambda g: corrupt(g, greedy(g)))
+        monkeypatch.setattr(perfect_embedding, "internal_cover_matching",
+                            lambda g: SimpleNamespace(edges=corrupt(g, cover(g).edges)))
+        for mode in ("any", "pendant_only"):
+            with pytest.raises(InternalError, match=f"^{message}$"):
+                embed_perfect(graph(), mode)
+
+    @given(forests())
+    def test_no_whole_host_walk(self, g):
+        g.peel, g.is_forest  # memoised first: the embedding may read only these
+        walks = []
+
+        def counted(name):
+            walk = getattr(graph_core, name)
+            return lambda *args: walks.append(name) or walk(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("leaf_peel", "component_lists"):
+                mp.setattr(graph_core, name, counted(name))
+            embeddings = [embed_perfect(g, mode) for mode in ("any", "pendant_only")]
+        assert walks == []
+        a = alpha(g).size
+        for emb in embeddings:
+            host = emb.host  # its own walk and peel, computed now
+            assert host.is_forest and 2 * len(host.peel[1]) == host.vertex_count
+            assert host.peel[0].count(1) == a
+
+    def test_partner_hung_twice_is_caught(self, monkeypatch):
+        step = perfect_embedding.fresh_partners
+
+        def hung_twice(*args):  # the last fresh vertex also joins vertex 0, closing a cycle
+            nb, added = step(*args)
+            v, w = added[-1]
+            nb[0] += (w,)
+            nb[w] = (0, v)
+            return nb, added
+
+        monkeypatch.setattr(perfect_embedding, "fresh_partners", hung_twice)
+        for mode in ("any", "pendant_only"):
+            with pytest.raises(InternalError,
+                               match="^embedding failed to produce a perfect forest$"):
                 embed_perfect(two_branch_tree(), mode)
 
 
