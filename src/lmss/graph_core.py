@@ -10,10 +10,10 @@ rule holds across the package: neighbor lists for traversal, bitmasks only
 where subsets are enumerated or searched. The graph kernels (N[S] with the
 stability test, peel, components, embedding step, search) take the lists
 and a bytearray of flags, one byte per vertex, and return flags or lists,
-so the forest routines stay O(n log n) in time and O(n) in memory; the
-memoised Graph.peel keeps the peel's own flags. Masks are built where the
-engine calls a kernel, and for the subsets enumerated or searched: by the
-subset tables, one neighbor mask per vertex of a small graph, and by the
+so the forest routines stay O(n log n) in time and O(n) in memory;
+Graph.peel keeps the peel's own flags. Masks are built where the engine
+calls a kernel, and for the subsets enumerated or searched: by the subset
+tables, one neighbor mask per vertex of a small graph, and by the
 exhaustive search, one per vertex it searches.
 
 Graph() validates its labels and edges, then hands them to one private
@@ -195,8 +195,7 @@ class Graph:
     filtering are realized by constructing new graphs.
     """
 
-    __slots__ = ("labels", "edges", "vertex_count", "_index", "_nbrs", "_forest", "_peel",
-                 "_oracle")
+    __slots__ = ("labels", "edges", "vertex_count", "_index", "_nbrs", "_memo")
 
     def __init__(self, labels: Sequence[str], edges: Iterable[tuple[int, int]] = ()):
         labels = tuple(labels)
@@ -259,9 +258,7 @@ class Graph:
         self.vertex_count = n
         self._index = index
         self._nbrs = tuple(nbrs)
-        self._forest = None
-        self._peel = None
-        self._oracle = None  # stable_core's subset tables, built on first use
+        self._memo = {}
 
     @classmethod
     def from_label_pairs(cls, labels: Sequence[str], pairs: Iterable[tuple[str, str]]) -> "Graph":
@@ -351,25 +348,25 @@ class Graph:
             raise InvalidVertexError(f"vertex set {shown} exceeds range 0..{n - 1}")
         return s, m
 
+    def _derive(self, key: str, compute):
+        """The fact ``key`` of this graph: ``compute(self)`` on first use, then
+        the same object for every later reader. A graph's derived facts, its
+        forest test and peel here and what other modules derive from it, are
+        computed once, shared, never to be modified, and freed with the
+        graph: they hold no reference back to it."""
+        memo = self._memo
+        return memo[key] if key in memo else memo.setdefault(key, compute(self))
+
     @property
     def is_forest(self) -> bool:
-        """Acyclicity: edge_count == vertex_count - number of components.
-        Computed once."""
-        if self._forest is None:
-            n = self.vertex_count
-            self._forest = len(self.edges) == n - len(component_lists(self._nbrs, b"\x01" * n))
-        return self._forest
+        """Acyclicity: edge_count == vertex_count - number of components."""
+        return self._derive("forest", _acyclic)
 
     @property
     def peel(self) -> tuple[bytearray, tuple, bytearray]:
         """``leaf_peel`` of the whole graph, ``(taken, pairs, leftover)`` with
-        the taken and leftover vertices as flags, computed once and shared by
-        every reader (alpha, the matchings, and stable_core.psi_walk for a
-        set whose N[S] is every vertex, whose walk the constructive chain
-        reads on): do not modify it."""
-        if self._peel is None:
-            self._peel = leaf_peel(self._nbrs, b"\x01" * self.vertex_count)
-        return self._peel
+        the taken and leftover vertices as flags; derived once (see _derive)."""
+        return self._derive("peel", _whole_peel)
 
     # -- value semantics -------------------------------------------------
 
@@ -383,6 +380,15 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.vertex_count}, m={self.edge_count})"
+
+
+def _acyclic(g: Graph) -> bool:
+    n = g.vertex_count
+    return len(g.edges) == n - len(component_lists(g._nbrs, b"\x01" * n))
+
+
+def _whole_peel(g: Graph) -> tuple:
+    return leaf_peel(g._nbrs, b"\x01" * g.vertex_count)
 
 
 @dataclass(frozen=True)

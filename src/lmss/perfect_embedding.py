@@ -3,7 +3,7 @@
 Every vertex left exposed by a maximum matching (isolated vertices count as
 exposed) receives a fresh pendant partner; the old matching plus the new
 edges is then a perfect matching, and alpha is unchanged because both the
-order and the matching number grew by the same amount. Using the
+order and the matching number grew by the same amount. Using the forest's
 internal-cover matching instead makes every new edge land on a pendant or
 isolated vertex of the original forest.
 
@@ -18,8 +18,7 @@ added edges, with no walk or peel of its own: the matching plus the added
 edges must cover every host vertex exactly once by host edges, and each fresh
 vertex must be a leaf, so the host is a forest with a perfect matching. By
 Konig-Egervary (alpha + mu = n on a forest) its stability number is then half
-its order, which must equal alpha of the forest, read from the forest's
-memoised peel.
+its order, which must equal alpha of the forest, read from Graph.peel.
 """
 
 from __future__ import annotations

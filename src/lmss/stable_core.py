@@ -97,9 +97,7 @@ class _SubsetTables(NamedTuple):
     """The subset tables of one graph: alpha(g[X]) and family membership for
     every vertex subset X, and the family's members.
 
-    Cached on the Graph it describes (``Graph._oracle``). It holds no
-    reference back to the graph, so dropping the graph frees the tables at
-    once, without the cyclic garbage collector.
+    Derived once per Graph, through Graph._derive.
     """
 
     alpha: bytearray
@@ -187,12 +185,11 @@ class SubsetOracle:
 
     One pass of dynamic programming over the 2^n subset lattice yields
     alpha(g[X]) and family membership for every X, so stability, membership
-    and the maximum-stable-set family are O(1) lookups. The tables are built
-    once per Graph and cached on it, so they live exactly as long as the
-    graph does: every oracle for the same graph object, and enumerate_psi,
-    enumerate_omega and verify_greedoid on it, read the same tables. The
-    oracle is a thin view over them; ``cap`` is checked on every
-    construction, before the cache is read.
+    and the maximum-stable-set family are O(1) lookups. Every oracle for the
+    same graph object, and enumerate_psi, enumerate_omega and
+    verify_greedoid on it, read the one set of tables the graph derives.
+    The oracle is a thin view over them; ``cap`` is checked on every
+    construction, before the tables are read.
     """
 
     __slots__ = ("graph", "n", "_alpha", "_flags", "_masks")
@@ -203,12 +200,9 @@ class SubsetOracle:
         if n > cap:
             raise TooLargeForEnumeration(
                 f"{n} vertices exceed the enumeration cap of {cap}")
-        tables = g._oracle
-        if tables is None:
-            tables = g._oracle = _build_tables(g)
         self.graph = g
         self.n = n
-        self._alpha, self._flags, self._masks = tables
+        self._alpha, self._flags, self._masks = g._derive("subset_tables", _build_tables)
 
     def _subset(self, mask) -> int:
         """``mask`` as a table index: one outside [0, 2^n) is refused."""

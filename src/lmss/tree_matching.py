@@ -2,12 +2,13 @@
 
 The leaf-greedy rule (match the lowest-index pendant to its neighbor,
 delete both, repeat) is exact on forests and gives reproducible witnesses.
-It is the pairs half of the graph's memoised graph_core.leaf_peel, a
+It is the pairs half of Graph.peel, the graph's graph_core.leaf_peel, a
 heap-driven O(n log n) peel over the neighbor lists, so the matching and the
 forest alpha witness come from one peel. On top of it sits the
 alternating-path shifting procedure that upgrades any maximum matching into
 one covering every internal vertex; it too walks the neighbor lists, in
-time linear in the length of its walks.
+time linear in the length of its walks, and each graph derives its cover
+once.
 """
 
 from __future__ import annotations
@@ -78,8 +79,16 @@ def internal_cover_matching(g: Graph) -> Matching:
     every step), swapping matched and unmatched edges until the deficiency
     lands on a pendant. Matching size is preserved by every swap, so the
     result is still maximum; exposed vertices end up pendant or isolated.
+    The repair runs once per graph: every call, and embed_perfect's
+    pendant_only mode, shares the one record.
     """
     _require_forest(g, "internal_cover_matching")
+    return g._derive("internal_cover", _repaired_cover)
+
+
+def _repaired_cover(g: Graph) -> Matching:
+    """The alternating-path repair of the leaf-greedy matching of the
+    forest ``g``, which internal_cover_matching derives once per graph."""
     n = g.vertex_count
     nbrs = g._nbrs
     partner = [-1] * n

@@ -5,11 +5,13 @@ import subprocess
 import sys
 import warnings
 from itertools import count
+from types import SimpleNamespace
 
 import pytest
 
 import lmss
-from lmss import AccessibilityFailure, InternalError, greedoid_engine
+from lmss import (AccessibilityFailure, InternalError, graph_families, greedoid_engine,
+                  selftest, stable_core)
 from lmss.cli import main
 from conftest import fresh_python
 
@@ -348,6 +350,30 @@ class TestSelftest:
         # every other criterion is still run in full and reported unchanged
         assert lines[:criterion - 1] + lines[criterion:] == \
             passing[:criterion - 1] + passing[criterion:]
+
+    @pytest.mark.parametrize("full, max_tree, forests, sizes, graphs, max_graph", [
+        (True, 8, 1000, (range(9, 15), range(2, 21)), 500, 12),
+        (False, 6, 100, (range(9, 13), range(2, 15)), 60, 10)], ids=["full", "quick"])
+    def test_scale(self, full, max_tree, forests, sizes, graphs, max_graph):
+        # the corpus sources record what they are asked for and give nothing
+        trees, corpora, oracles, per_criterion = [], [], [], []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_families, "enumerate_labeled_trees",
+                       lambda n: trees.append(n) or ())
+            mp.setattr(selftest, "_forest_corpus",
+                       lambda count, sizes, seed0: corpora.append((count, sizes)) or ())
+            mp.setattr(stable_core, "SubsetOracle", lambda g, cap=None: oracles.append(
+                g.vertex_count) or SimpleNamespace(psi_masks=list, omega_masks=list))
+            for _ in selftest._criteria(full):
+                per_criterion.append(oracles[:])
+                oracles.clear()
+        assert trees == list(range(2, max_tree + 1))
+        # Cayley: n^(n-2) labeled trees on n vertices, 280 392 on 2..8 and 1 441 on 2..6
+        assert sum(n ** (n - 2) for n in trees) == (280392 if full else 1441)
+        assert corpora == [(forests, r) for r in sizes]  # criteria 1 and 7
+        random_graphs = per_criterion[3]
+        assert len(random_graphs) == graphs
+        assert min(random_graphs) >= 4 and max(random_graphs) == max_graph
 
 
 STARTUP = """

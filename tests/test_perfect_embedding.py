@@ -16,10 +16,11 @@ from lmss import (
     enumerate_psi,
     generate,
     induced_subgraph,
+    internal_cover_matching,
     maximum_matching,
     psi_restrict_check,
 )
-from lmss import graph_core, perfect_embedding
+from lmss import graph_core, perfect_embedding, tree_matching
 from lmss.graph_core import bits_of, flags_of, mask_of, set_of
 from lmss.perfect_embedding import fresh_partners
 from conftest import (
@@ -236,6 +237,21 @@ class TestEmbedPerfect:
                         assert g.degree(v) <= 1
                 checked += 1
         assert checked == 120
+
+    @given(forests())
+    def test_each_graph_derives_its_cover_once(self, g):
+        twin = Graph(g.labels, g.edges)
+        fresh = embed_perfect(twin, "pendant_only")
+        cover = internal_cover_matching(g)
+        assert internal_cover_matching(g) is cover and cover == internal_cover_matching(twin)
+
+        def repair_again(_):
+            raise AssertionError("the internal cover was repaired twice")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tree_matching, "_repaired_cover", repair_again)
+            emb = embed_perfect(g, "pendant_only")
+        assert emb.added_edges == fresh.added_edges and emb.host == fresh.host
 
     def test_alpha_arithmetic(self):
         for seed in range(30):

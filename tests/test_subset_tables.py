@@ -60,12 +60,17 @@ class TestOneTablePerGraph:
 
     @pytest.mark.parametrize("reader", [SubsetOracle, enumerate_psi, enumerate_omega,
                                         verify_greedoid])
-    def test_cap_checked_before_the_cache(self, reader):
+    def test_cap_checked_before_the_cache(self, reader, monkeypatch):
+        built = []
+        real = stable_core._build_tables
+        monkeypatch.setattr(stable_core, "_build_tables",
+                            lambda g: built.append(g) or real(g))
         g = cycle(9)
         SubsetOracle(g)
-        assert g._oracle is not None
+        assert built == [g]  # the tables exist before the capped call
         with pytest.raises(TooLargeForEnumeration):
             reader(g, cap=g.vertex_count - 1)
+        assert built == [g]
 
     def test_dropping_the_graph_frees_its_tables(self):
         # no cycle may keep the tables alive: with the cyclic collector off,
