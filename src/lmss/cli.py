@@ -21,10 +21,12 @@ from .graph_core import Graph
 
 
 def _read_document(path: str) -> GraphDocument:
+    """Read the graph's bytes from ``path`` (``-`` is stdin); parse_graph
+    alone decodes them, so both routes answer the same bytes alike."""
     if path == "-":
-        data = sys.stdin.read()
+        data = sys.stdin.buffer.read()
     else:
-        with open(path, "r", encoding="utf-8-sig") as f:
+        with open(path, "rb") as f:
             data = f.read()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -7,13 +7,14 @@ text format parses back; Graph refuses any other label.
 
 Adjacency is kept as one ascending tuple of neighbors per vertex, and one
 rule holds across the package: neighbor lists for traversal, bitmasks only
-where subsets are enumerated or searched. The graph kernels (N[S] with the
-stability test, peel, components, embedding step, search) take the lists
-and a bytearray of flags, one byte per vertex, and return flags or lists,
-so the forest routines stay O(n log n) in time and O(n) in memory;
-Graph.peel keeps the peel's own flags. Masks are built where the engine
-calls a kernel, and for the subsets enumerated or searched: by the subset
-tables, one neighbor mask per vertex of a small graph, and by the
+where subsets are enumerated or searched. Graph answers neighbor queries
+(``neighbors``, ``degree``, ``has_edge``) as lists only. The graph kernels
+(N[S] with the stability test, peel, components, embedding step, search)
+take the lists and a bytearray of flags, one byte per vertex, and return
+flags or lists, so the forest routines stay O(n log n) in time and O(n) in
+memory; Graph.peel keeps the peel's own flags. Masks are built where the
+engine calls a kernel, and for the subsets enumerated or searched: by the
+subset tables, one neighbor mask per vertex of a small graph, and by the
 exhaustive search, one per vertex it searches.
 
 Graph() validates its labels and edges, then hands them to one private
@@ -292,14 +293,6 @@ class Graph:
             raise InvalidVertexError(f"vertex {v!r} out of range 0..{self.vertex_count - 1}")
         return v
 
-    def adjacency_mask(self, v: int) -> int:
-        """Open neighborhood of ``v`` as a bitmask; ``v`` must lie in 0..n-1."""
-        return mask_of(self._nbrs[self._vertex(v)])
-
-    def closed_mask(self, v: int) -> int:
-        v = self._vertex(v)
-        return mask_of(self._nbrs[v]) | (1 << v)
-
     def degree(self, v: int) -> int:
         return len(self._nbrs[self._vertex(v)])
 
@@ -312,9 +305,6 @@ class Graph:
         ns = self._nbrs[self._vertex(u)]
         i = bisect_left(ns, v)
         return i < len(ns) and ns[i] == v
-
-    def full_mask(self) -> int:
-        return (1 << self.vertex_count) - 1
 
     def check_vertices(self, vertices: Iterable[int]) -> frozenset:
         """Validate a vertex set against this graph; returns it frozen."""

@@ -225,7 +225,7 @@ def naive_alpha_forest(g: Graph) -> frozenset:
     scan order makes the witness reproducible.
     """
     n = g.vertex_count
-    active = g.full_mask()
+    active = (1 << n) - 1
     adj = naive_adjacency(g)
     chosen = 0
     while active:
@@ -257,7 +257,7 @@ def naive_maximum_matching(g: Graph) -> Matching:
     its unique neighbor and deletes both; isolated vertices are dropped.
     """
     adj = naive_adjacency(g)
-    active = g.full_mask()
+    active = (1 << g.vertex_count) - 1
     edges = []
     while active:
         pend = -1
@@ -380,7 +380,7 @@ def naive_exchange_violations(g: Graph, family) -> list:
         by_size[m.bit_count()].append(m)
 
     exch_bad = []
-    full = g.full_mask()
+    full = (1 << n) - 1
     for k in range(n):
         ys = by_size[k]
         xs = by_size[k + 1]

@@ -52,7 +52,9 @@ C4_REPORT_JSON = """{
 
 
 def run(capsys, monkeypatch, argv, stdin=""):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    # a text stream over bytes, with the ``.buffer`` a real pipe has
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin.encode()),
+                                                       encoding="utf-8"))
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
@@ -470,12 +472,13 @@ class TestSubprocessContract:
     """The installed entry point behaves like the in-process API."""
 
     def _run(self, args, stdin=None, env_extra=None):
+        """The console entry point on ``args``; bytes on stdin give bytes back."""
         env = dict(os.environ)
         if env_extra:
             env.update(env_extra)
         return subprocess.run([sys.executable, "-m", "lmss", *args],
-                              input=stdin, capture_output=True, text=True,
-                              env=env, timeout=120)
+                              input=stdin, capture_output=True,
+                              text=not isinstance(stdin, bytes), env=env, timeout=120)
 
     def test_pipe_gen_into_verify(self):
         gen = self._run(["gen", "--family", "fig7", "-n", "6"])
@@ -496,6 +499,25 @@ class TestSubprocessContract:
                             stdin=FIG1_TEXT, env_extra={"PYTHONHASHSEED": seed})
             outs.append((gen.stdout, ver.stdout))
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("data, env_extra, code", [
+        (b"\xef\xbb\xbf\xef\xbb\xbf" + FIG1_TEXT.encode(), None, 2),
+        ("p 2 1\nv é\nv b\ne é b\n".encode(), {"PYTHONIOENCODING": "latin-1"}, 0),
+        (b"\xef\xbb\xbf" + FIG1_TEXT.encode(), None, 0),
+        (FIG1_TEXT.replace("\n", "\r\n").encode(), None, 0),
+        (FIG1_TEXT.replace("\n", "\r").encode(), None, 0),
+        (b"p 2 1\nv \xff\nv b\ne \xff b\n", None, 2)],
+        ids=["double BOM", "latin-1 stdio", "one BOM", "CRLF", "lone CR", "0xff byte"])
+    def test_file_and_stdin_answer_the_same_bytes_alike(self, tmp_path, data, env_extra, code):
+        # parse_graph is the only decoder: a file and a pipe of the same
+        # bytes give the same exit code, stdout and stderr
+        p = tmp_path / "g.graph"
+        p.write_bytes(data)
+        by_file = self._run(["alpha", str(p), "--format", "json"], b"", env_extra)
+        by_stdin = self._run(["alpha", "-", "--format", "json"], data, env_extra)
+        assert by_file.returncode == by_stdin.returncode == code
+        assert by_file.stdout == by_stdin.stdout
+        assert by_file.stderr == by_stdin.stderr
 
     @pytest.mark.parametrize("name", ["missing.graph", "."])
     def test_unreadable_graph_file_exit_2(self, tmp_path, name):

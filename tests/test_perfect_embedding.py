@@ -51,7 +51,7 @@ class TestFreshPartners:
         g = Graph([f"v{i}" for i in range(8)], [(1, 2), (2, 3), (2, 4), (5, 6), (6, 7)])
         pairs = maximum_matching(g).edges
         assert pairs == ((1, 2), (5, 6))
-        nb, added = fresh_partners(g._nbrs, pairs, flags_of(g.full_mask(), 8))
+        nb, added = fresh_partners(g._nbrs, pairs, flags_of((1 << g.vertex_count) - 1, 8))
         assert added == ((0, 8), (3, 9), (4, 10), (7, 11))
         # each fresh vertex is appended to its partner's tuple, which stays sorted
         assert nb == [(8,), (2,), (1, 3, 4), (2, 9), (2, 10), (6,), (5, 7), (6, 11),
@@ -285,7 +285,7 @@ class TestPsiRestrictCheck:
         assert psi_restrict_check(p3, labels_to_set(p3, "a", "b"), b)
 
     @given(st.one_of(forests(max_n=12), graphs(max_n=10)).flatmap(
-        lambda g: st.tuples(st.just(g), st.integers(0, g.full_mask()))))
+        lambda g: st.tuples(st.just(g), st.integers(0, (1 << g.vertex_count) - 1))))
     def test_matches_naive_membership_in_the_induced_subgraph(self, drawn):
         # every a inside sub, on forests and on graphs with cycles (the
         # branch-and-bound route)

@@ -126,10 +126,10 @@ class TestBranchAndBound:
     def test_loop_matches_the_recursive_search(self, g, data):
         # the same mask on a random sub-universe and on the core its peel leaves
         adj = naive_adjacency(g)
-        universe = data.draw(st.integers(0, g.full_mask()))
         n = g.vertex_count
+        universe = data.draw(st.integers(0, (1 << n) - 1))
         core = mask_of_flags(leaf_peel(g._nbrs, flags_of(universe, n))[2])
-        for u in (universe, core, g.full_mask()):
+        for u in (universe, core, (1 << n) - 1):
             assert stable_core._alpha_branch_bound(g._nbrs, flags_of(u, n), None) == \
                 recursive_alpha_branch_bound(adj, u, None)
 
@@ -149,9 +149,10 @@ class TestBranchAndBound:
     def test_membership_refused_only_past_the_peeled_core(self, g, cap, data):
         s = 0
         for v in data.draw(st.permutations(range(g.vertex_count))):
-            if not g.adjacency_mask(v) & s:
+            if not mask_of(g.neighbors(v)) & s:
                 s |= 1 << v
-        for m in (s & data.draw(st.integers(0, s)), data.draw(st.integers(0, g.full_mask()))):
+        for m in (s & data.draw(st.integers(0, s)),
+                  data.draw(st.integers(0, (1 << g.vertex_count) - 1))):
             try:
                 got = stable_core.in_psi_mask(g, m, cap)
             except TooLargeForBruteForce:
@@ -195,10 +196,10 @@ class TestBranchAndBound:
         # peel leaves of N[S] cut to ``sub`` in ``g`` tops ``cap``
         s = 0
         for v in data.draw(st.permutations(range(g.vertex_count))):
-            if not g.adjacency_mask(v) & s:
+            if not mask_of(g.neighbors(v)) & s:
                 s |= 1 << v
         s &= data.draw(st.integers(0, s))
-        sub = s | data.draw(st.integers(0, g.full_mask()))
+        sub = s | data.draw(st.integers(0, (1 << g.vertex_count) - 1))
         keep = list(bits_of(sub))
         h = induced_subgraph(g, keep)
         t = mask_of(keep.index(v) for v in bits_of(s))
@@ -298,7 +299,7 @@ class TestIsLocalMaxStable:
         def check(g, data):
             s = 0
             for v in data.draw(st.permutations(range(g.vertex_count))):
-                if not g.adjacency_mask(v) & s:
+                if not mask_of(g.neighbors(v)) & s:
                     s |= 1 << v
             t = s & data.draw(st.integers(0, s))
             drop = data.draw(st.integers(0, g.vertex_count))  # n drops nothing
@@ -328,7 +329,7 @@ class TestIsLocalMaxStable:
         n = g.vertex_count
         s = 0
         for v in data.draw(st.permutations(range(n))):
-            if not g.adjacency_mask(v) & s:
+            if not mask_of(g.neighbors(v)) & s:
                 s |= 1 << v
         if data.draw(st.booleans()):  # a maximum set, so that the walk is a member's
             s = SubsetOracle(g).omega_masks()[0] if n <= 20 else mask_of_flags(g.peel[0])
