@@ -22,11 +22,11 @@ _NAMES = {  # home module -> the public names it defines
         "induced_subgraph", "pendant_vertices"),
     "stable_core": (
         "PsiFamily", "StableSetResult", "SubsetOracle", "alpha", "enumerate_omega",
-        "enumerate_psi", "is_local_max_stable", "is_stable"),
+        "enumerate_psi", "is_local_max_stable", "is_stable", "psi_restrict_check"),
     "tree_matching": (
         "KonigEgervaryReport", "Matching", "internal_cover_matching", "maximum_matching",
         "verify_konig_egervary"),
-    "perfect_embedding": ("Embedding", "embed_perfect", "psi_restrict_check"),
+    "perfect_embedding": ("Embedding", "embed_perfect"),
     "greedoid_engine": (
         "ChainCertificate", "ExchangeWitness", "GreedoidReport", "chain_decompose",
         "chain_is_valid", "exchange_witness", "nt_extend", "pendant_k2_edge",

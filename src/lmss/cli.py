@@ -1,8 +1,9 @@
 """Command-line surface tying the library operations together.
 
-Each handler imports the module it runs when it runs, so a command loads
-only what it needs: ``alpha`` never loads the greedoid engine, and only
-``selftest`` loads the selftest corpus.
+Each handler calls the package's public names, and a public name loads its
+home module on first use, so a command loads only what it needs: ``alpha``
+never loads the greedoid engine, and only ``selftest`` loads the selftest
+corpus. Answers leave as UTF-8 bytes whatever the locale.
 
 Exit codes: 0 success, 1 a property violation was found (axiom violations,
 missing exchange witness, stuck chain), 2 usage or input errors (a missing
@@ -18,6 +19,8 @@ import warnings
 from .cli_io import GraphDocument, emit, labels_of, parse_graph, to_jsonable
 from .errors import AccessibilityFailure, LmssError
 from .graph_core import Graph
+
+_lmss = sys.modules[__package__]  # the package: its names load their modules on first use
 
 
 def _read_document(path: str) -> GraphDocument:
@@ -51,87 +54,75 @@ def _run_graph_command(args) -> int:
 
 
 def cmd_alpha(args, g):
-    from . import stable_core
-    return stable_core.alpha(g, cap=args.cap), 0
+    return _lmss.alpha(g, cap=args.cap), 0
 
 
 def cmd_omega(args, g):
-    from . import stable_core
-    sets = stable_core.enumerate_omega(g, cap=args.cap)
+    sets = _lmss.enumerate_omega(g, cap=args.cap)
     return {"alpha": len(sets[0]), "count": len(sets),
             "sets": [labels_of(g, s) for s in sets]}, 0
 
 
 def cmd_psi(args, g):
-    from . import stable_core
     if args.set is None:
-        return stable_core.enumerate_psi(g, cap=args.cap), 0
+        return _lmss.enumerate_psi(g, cap=args.cap), 0
     s = _parse_set(g, args.set)
     return {"set": labels_of(g, s),
-            "is_local_max_stable": stable_core.is_local_max_stable(g, s, cap=args.cap)}, 0
+            "is_local_max_stable": _lmss.is_local_max_stable(g, s, cap=args.cap)}, 0
 
 
 def cmd_matching(args, g):
-    from . import tree_matching
     if args.internal_cover:
-        m = tree_matching.internal_cover_matching(g)
+        m = _lmss.internal_cover_matching(g)
     else:
-        m = tree_matching.maximum_matching(g)
+        m = _lmss.maximum_matching(g)
     return {**to_jsonable(m, g), "internal_cover": args.internal_cover}, 0
 
 
 def cmd_ke_check(args, g):
-    from . import tree_matching
-    return tree_matching.verify_konig_egervary(g), 0
+    return _lmss.verify_konig_egervary(g), 0
 
 
 def cmd_embed(args, g):
-    from . import perfect_embedding
     mode = "pendant_only" if args.pendant_only else "any"
-    return perfect_embedding.embed_perfect(g, mode), 0
+    return _lmss.embed_perfect(g, mode), 0
 
 
 def cmd_chain(args, g):
-    from . import greedoid_engine
     strategy = {"greedy": "greedy_peel"}.get(args.strategy, args.strategy)
     try:
-        return greedoid_engine.chain_decompose(g, _parse_set(g, args.set),
-                                               strategy, cap=args.cap), 0
+        return _lmss.chain_decompose(g, _parse_set(g, args.set), strategy, cap=args.cap), 0
     except AccessibilityFailure as exc:
         return {"stuck_set": labels_of(g, exc.stuck_set),
                 "error": "accessibility failure"}, 1
 
 
 def cmd_nt_extend(args, g):
-    from . import greedoid_engine
     s1, s2 = _parse_set(g, args.s1), _parse_set(g, args.s2)
-    result = greedoid_engine.nt_extend(g, s1, s2, cap=args.cap)
+    result = _lmss.nt_extend(g, s1, s2, cap=args.cap)
     return {"s1": labels_of(g, s1), "s2": labels_of(g, s2),
             "s3": labels_of(g, result - s1), "result": labels_of(g, result),
             "alpha": len(result)}, 0
 
 
 def cmd_exchange(args, g):
-    from . import greedoid_engine
-    w = greedoid_engine.exchange_witness(g, _parse_set(g, args.s1),
-                                         _parse_set(g, args.s2), cap=args.cap)
+    w = _lmss.exchange_witness(g, _parse_set(g, args.s1), _parse_set(g, args.s2),
+                               cap=args.cap)
     return w, 0 if w.witness is not None else 1
 
 
 def cmd_verify_greedoid(args, g):
-    from . import greedoid_engine
-    report = greedoid_engine.verify_greedoid(g, cap=args.cap)
+    report = _lmss.verify_greedoid(g, cap=args.cap)
     return report, 0 if report.accessibility_ok and report.exchange_ok else 1
 
 
 def cmd_gen(args) -> int:
-    from . import graph_families
-    g = graph_families.generate(graph_families.FamilySpec(
+    g = _lmss.generate(_lmss.FamilySpec(
         family=args.family, n=args.n, seed=args.seed, delete_prob=args.delete_prob))
     meta = {"family": args.family, "n": str(g.vertex_count)}
     if args.family.startswith("random"):
         meta["seed"] = str(0 if args.seed is None else args.seed)
-        meta["prng"] = graph_families.PRNG_ALGORITHM
+        meta["prng"] = _lmss.graph_families.PRNG_ALGORITHM
         if args.family == "random_forest":
             meta["delete_prob"] = str(args.delete_prob)
     sys.stdout.write(emit(GraphDocument(graph=g, source="family", metadata=meta),
@@ -154,8 +145,7 @@ class _FamilyNames:
     serves ``in``."""
 
     def __iter__(self):
-        from .graph_families import FAMILIES
-        return iter(FAMILIES)
+        return iter(_lmss.graph_families.FAMILIES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -220,6 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    for stream in (sys.stdout, sys.stderr):  # UTF-8 whatever the locale; a StringIO stays
+        if hasattr(stream, "reconfigure"):
+            stream.reconfigure(encoding="utf-8", errors=stream.errors)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

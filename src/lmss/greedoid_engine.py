@@ -13,16 +13,17 @@ the whole family only to list the violations of one that fails.
 Every function that asks "is this set in the family?" picks its route once,
 in _membership: the oracle's table lookup when a SubsetOracle is passed
 (refused with ValueError when it was built for a different graph),
-otherwise the direct closed-neighborhood check of stable_core.in_psi_mask
+otherwise the direct closed-neighborhood check of stable_core.psi_walk
 (the neighborhood peel, then exhaustive search of the cyclic core it leaves,
-refused above ``cap``). The constructive chain is the one route that reads
-more than the verdict: on both routes, stable_core.psi_walk hands it the
-walk over N[S] and the peel of N[S] that decided membership, so each call
-walks and peels N[S] once. chain_decompose checks its strategy before any
-of this work, and with an oracle it re-checks a constructive chain with
-chain_is_valid, the one walk over a chain's prefixes. The engine then works
-on vertex bitmasks and join orders, and freezes sets only at the public
-boundary: a chain's prefixes only when they are read.
+refused above ``cap``), whose walk or None is the verdict. The constructive
+chain is the one route that reads more than the verdict: on both routes,
+psi_walk hands it the walk over N[S] and the peel of N[S] that decided
+membership, so each call walks and peels N[S] once. chain_decompose checks
+its strategy before any of this work, and with an oracle it re-checks a
+constructive chain with chain_is_valid, the one walk over a chain's
+prefixes. The engine then works on vertex bitmasks and join orders, and
+freezes sets only at the public boundary: a chain's prefixes only when they
+are read.
 """
 
 from __future__ import annotations
@@ -148,11 +149,12 @@ def _membership(g: Graph, oracle: SubsetOracle | None, cap):
     """The family-membership predicate on vertex masks of ``g``: the
     oracle's table lookup when one is given (after checking that it was
     built for ``g``), else the direct check. Its answers are only truthy
-    or falsy: the table route returns the flag byte itself."""
+    or falsy: the table route returns the flag byte itself, the direct
+    route psi_walk's walk or None."""
     if oracle is not None:
         _check_oracle(g, oracle)
         return oracle.psi_flags().__getitem__
-    return partial(stable_core.in_psi_mask, g, cap=cap)
+    return partial(stable_core.psi_walk, g, cap=cap)
 
 
 def chain_is_valid(cert: ChainCertificate, oracle: SubsetOracle | None = None,

@@ -24,10 +24,10 @@ its order, which must equal alpha of the forest, read from Graph.peel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain
 
-from .errors import InternalError, InvalidVertexError
-from .graph_core import Graph, flags_of, fresh_partners, induced_subgraph, mask_of_flags
+from .errors import InternalError
+from .graph_core import Graph, fresh_partners
 from .tree_matching import internal_cover_matching, leaf_greedy_pairs
 
 
@@ -95,24 +95,3 @@ def embed_perfect(g: Graph, mode: str = "any") -> Embedding:
     if host.vertex_count != 2 * g.peel[0].count(1):
         raise InternalError("embedding changed the stability number")
     return Embedding(host=host, original_vertices=frozenset(range(n)), added_edges=added)
-
-
-def psi_restrict_check(host: Graph, sub_vertices, a) -> bool:
-    """Membership of ``a`` in the family of the subgraph induced by
-    ``sub_vertices``: the one kernel, stable_core.in_psi_mask, on that induced
-    subgraph (which keeps the vertex order) with ``a`` re-indexed. Its search
-    takes a vertex with at most one neighbour left without branching on it.
-
-    When ``a`` is a local maximum stable set of ``host``, restriction can
-    only shrink its neighborhood, so this check must come out true; callers
-    use it to validate that implication on concrete instances.
-    """
-    from . import stable_core  # here, so that embedding alone never loads it
-
-    sub_vertices, sub = host.check_vertices_mask(sub_vertices)
-    a = host.check_vertices_mask(a)[1]
-    if a & ~sub:
-        raise InvalidVertexError("a-set must lie inside the induced vertex set")
-    # a's flags read at sub's vertices only, in index order: a in the subgraph's indices
-    a = mask_of_flags(bytes(compress(flags_of(a, 0), flags_of(sub, 0))))
-    return stable_core.in_psi_mask(induced_subgraph(host, sub_vertices), a)

@@ -7,18 +7,19 @@ member of the family by convention (the greedoid view requires it).
 Everything here is exact. alpha of a forest is the lowest-pendant peel of
 graph_core.leaf_peel (a heap-driven O(n log n) peel over the neighbor
 lists); alpha of any other graph is one exhaustive search of the whole
-graph. One kernel, psi_walk (in_psi_mask is its verdict), answers every
-direct membership question on flags (one byte per vertex): one walk over
-S's neighbour lists checks stability and builds N[S], the peel of N[S]
-follows (when N[S] is every vertex, as for the alpha set, that is the
-memoised Graph.peel, so a forest is peeled once), and the search covers
-only the cyclic core the peel leaves, taking a vertex with at most one
-neighbour left without branching. A member's walk and peel are returned,
-for the constructive chain to read on. Each search refuses more vertices
-than a configurable cap. Neighbour masks are built only by the subset
-tables and, for the vertices it searches, by the search. Families leave
-as frozensets in one canonical order, by size and then by ascending index
-tuple; the tuples are joined from per-byte tables built once at import.
+graph. One kernel, psi_walk, answers every direct membership question
+(psi_restrict_check's, on an induced subgraph, too) on flags (one byte
+per vertex): one walk over S's neighbour lists checks stability and
+builds N[S], the peel of N[S] follows (when N[S] is every vertex, as for
+the alpha set, that is the memoised Graph.peel, so a forest is peeled
+once), and the search covers only the cyclic core the peel leaves, taking
+a vertex with at most one neighbour left without branching. A member's
+walk and peel are returned, for the constructive chain to read on; its
+verdict is the walk or None. Each search refuses more vertices than a
+configurable cap. Neighbour masks are built only by the subset tables and,
+for the vertices it searches, by the search. Families leave as frozensets
+in one canonical order, by size and then by ascending index tuple; the
+tuples are joined from per-byte tables built once at import.
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, compress, count
 from operator import getitem, index
-from typing import NamedTuple
 
 from .errors import (InternalError, InvalidVertexError, TooLargeForBruteForce,
                      TooLargeForEnumeration)
-from .graph_core import Graph, bits_of, closed_flags, flags_of, leaf_peel, mask_of, set_of
+from .graph_core import (Graph, bits_of, closed_flags, flags_of, induced_subgraph, leaf_peel,
+                         mask_of, mask_of_flags, set_of)
 
 DEFAULT_BRUTE_FORCE_CAP = 24
 DEFAULT_ENUMERATION_CAP = 20
@@ -93,18 +94,6 @@ def canonical_sets(masks) -> list:
     return list(map(frozenset, keys))
 
 
-class _SubsetTables(NamedTuple):
-    """The subset tables of one graph: alpha(g[X]) and family membership for
-    every vertex subset X, and the family's members.
-
-    Derived once per Graph, through Graph._derive.
-    """
-
-    alpha: bytearray
-    psi_flags: bytes
-    psi_masks: list
-
-
 def _alpha_and_stable(adj: list, n: int) -> tuple[bytearray, bytes]:
     """alpha(g[X]) for every vertex subset X, and one byte per X that is 1
     iff X is stable (iff alpha(X) = |X|).
@@ -154,9 +143,12 @@ def _alpha_and_stable(adj: list, n: int) -> tuple[bytearray, bytes]:
     return alpha, ((((diff + high - ones) & high) ^ high) >> 7).to_bytes(size, "little")
 
 
-def _build_tables(g: Graph) -> _SubsetTables:
-    """The alpha table, then the family: the stable subsets X (the only ones
-    visited one by one) with alpha(N[X]) = |X|."""
+def _build_tables(g: Graph) -> tuple[bytearray, bytes, list]:
+    """The subset tables of one graph, derived once per Graph through
+    Graph._derive: alpha(g[X]) for every vertex subset X, one flag byte per
+    X that is 1 iff X is in the family, and the family's members as masks.
+    The alpha table comes first, then the family: the stable subsets X (the
+    only ones visited one by one) with alpha(N[X]) = |X|."""
     n = g.vertex_count
     adj = [mask_of(ns) for ns in g._nbrs]
     alpha, stable = _alpha_and_stable(adj, n)
@@ -177,7 +169,7 @@ def _build_tables(g: Graph) -> _SubsetTables:
             members.append(m)
         m = stable.find(1, m + 1)
     members.sort(key=int.bit_count)
-    return _SubsetTables(alpha, bytes(flags), members)
+    return alpha, bytes(flags), members
 
 
 class SubsetOracle:
@@ -343,15 +335,29 @@ def psi_walk(g: Graph, mask: int, cap: int | None = None):
     return (members, closed, peel) if size == mask.bit_count() else None
 
 
-def in_psi_mask(g: Graph, mask: int, cap: int | None = None) -> bool:
-    """psi_walk's verdict as a bool: the one direct membership check."""
-    return psi_walk(g, mask, cap) is not None
-
-
 def is_local_max_stable(g: Graph, s, cap: int | None = None) -> bool:
-    """Membership test for the local-maximum family: in_psi_mask on the
-    validated vertex set ``s``."""
-    return in_psi_mask(g, g.check_vertices_mask(s)[1], cap)
+    """Membership test for the local-maximum family: psi_walk's verdict on
+    the validated vertex set ``s``."""
+    return psi_walk(g, g.check_vertices_mask(s)[1], cap) is not None
+
+
+def psi_restrict_check(host: Graph, sub_vertices, a) -> bool:
+    """Membership of ``a`` in the family of the subgraph induced by
+    ``sub_vertices``: the one kernel, psi_walk, on that induced subgraph
+    (which keeps the vertex order) with ``a`` re-indexed. Its search takes a
+    vertex with at most one neighbour left without branching on it.
+
+    When ``a`` is a local maximum stable set of ``host``, restriction can
+    only shrink its neighborhood, so this check must come out true; callers
+    use it to validate that implication on concrete instances.
+    """
+    sub_vertices, sub = host.check_vertices_mask(sub_vertices)
+    a = host.check_vertices_mask(a)[1]
+    if a & ~sub:
+        raise InvalidVertexError("a-set must lie inside the induced vertex set")
+    # a's flags read at sub's vertices only, in index order: a in the subgraph's indices
+    a = mask_of_flags(bytes(compress(flags_of(a, 0), flags_of(sub, 0))))
+    return psi_walk(induced_subgraph(host, sub_vertices), a) is not None
 
 
 def enumerate_psi(g: Graph, cap: int | None = None) -> PsiFamily:

@@ -24,7 +24,7 @@ from lmss import (
 from lmss import graph_core, greedoid_engine, stable_core
 from lmss.greedoid_engine import PrefixChain
 from lmss.graph_core import closed_neighborhood, decompose, mask_of, mask_of_flags, set_of
-from lmss.stable_core import in_psi_mask, is_local_max_stable
+from lmss.stable_core import is_local_max_stable, psi_walk
 from conftest import (
     forests,
     graphs,
@@ -61,12 +61,12 @@ def test_forest_chains_match_prefix_masks(g, bits):
     # alpha set itself
     alpha_set = mask_of_flags(g.peel[0])
     target = alpha_set & bits
-    if not in_psi_mask(g, target):
+    if not psi_walk(g, target):
         target = alpha_set
     s = set_of(target)
     oracles = (None, SubsetOracle(g)) if g.vertex_count <= 14 else (None,)
     expected = {
-        "greedy_peel": naive_greedy_peel_masks(partial(in_psi_mask, g), target),
+        "greedy_peel": naive_greedy_peel_masks(partial(psi_walk, g), target),
         "constructive": naive_constructive_chain_masks(g, target),
     }
     for strategy, masks in expected.items():
@@ -154,7 +154,7 @@ def test_constructive_certificate_memory_is_linear_in_the_set():
 def test_constructive_routes_give_equal_certificates(g, bits):
     alpha_set = mask_of_flags(g.peel[0])
     target = alpha_set & bits
-    if not in_psi_mask(g, target):
+    if not psi_walk(g, target):
         target = alpha_set
     s = set_of(target)
     assert chain_decompose(g, s, "constructive") == \
@@ -210,7 +210,7 @@ def test_constructive_chain_peels_the_neighborhood_once(monkeypatch):
         g = generate(FamilySpec("random_forest", n=n, seed=4, delete_prob=0.15))
         s = alpha(g).set  # g.peel memoised
         part = s & decompose(g).components[0]
-        assert closed_neighborhood(g, part) != set(range(n)) and in_psi_mask(g, mask_of(part))
+        assert closed_neighborhood(g, part) != set(range(n)) and psi_walk(g, mask_of(part))
         cases.append((g, s, part, SubsetOracle(g) if oracle else None))
     peel = graph_core.leaf_peel
     calls = []
