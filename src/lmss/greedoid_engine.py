@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import partial
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from operator import eq, index
+from operator import eq
 from typing import NamedTuple, Optional
 
 from . import stable_core
@@ -58,7 +58,9 @@ class PrefixChain(Sequence):
 
     Holds only the order, |S| entries. Iteration grows each prefix from
     the one before and keeps none of them; indexing and slicing freeze the
-    prefixes they return. The chain compares equal, in both directions, to
+    prefixes they return, and follow the tuple's rules (negative indexes,
+    bounds, steps, the exception types) by looking the index up in the
+    range of prefix ends. The chain compares equal, in both directions, to
     the tuple of its prefixes, and hashes and prints like it. Like emit,
     hash and repr build that tuple, every prefix at once: |S|(|S|+1)/2
     entries.
@@ -74,14 +76,10 @@ class PrefixChain(Sequence):
 
     def __getitem__(self, i):
         order = self._order
-        if isinstance(i, slice):
-            return tuple(frozenset(order[:j + 1]) for j in range(*i.indices(len(order))))
-        i = index(i)
-        if i < 0:
-            i += len(order)
-        if not 0 <= i < len(order):
-            raise IndexError("chain index out of range")
-        return frozenset(order[:i + 1])
+        ends = range(1, len(order) + 1)[i]  # where each prefix cuts the order
+        if isinstance(ends, range):
+            return tuple(frozenset(order[:j]) for j in ends)
+        return frozenset(order[:ends])
 
     def __iter__(self):
         prefix = frozenset()
@@ -501,33 +499,22 @@ def _components_are_greedoids(g: Graph, flags, members) -> bool:
     """True when ``g`` has more than one component and the family of each
     component with two or more vertices passes both axioms.
 
-    One pass over the members sorts each member that lies inside one
-    component into that component's list: its lowest bit names the
-    component, and a mask test confirms that it stays inside. The empty
-    set heads every list. Each list is scanned against the graph's own
-    flags, since a set inside a component is in the graph's family iff it
-    is in the component's. A graph with one component (or none) gets
-    False at once, having paid one component walk.
+    A component's part is every member with no vertex outside it, the
+    empty set included, in the members' order. The parts are scanned in
+    component order against the graph's own flags, since a set inside a
+    component is in the graph's family iff it is in the component's, and
+    the route stops at the first part that fails. A graph with one
+    component (or none) gets False at once, having paid one component
+    walk.
     """
     n = g.vertex_count
     comps = component_lists(g._nbrs, b"\x01" * n)
     if len(comps) < 2:
         return False
-    home = [0] * n  # each vertex's component, as a mask
-    parts = {}  # component mask -> the members inside it
     for comp in comps:
-        c = mask_of(comp)
-        for v in comp:
-            home[v] = c
-        parts[c] = [0]
-    for m in members:
-        if m:
-            c = home[(m & -m).bit_length() - 1]
-            if not m & ~c:
-                parts[c].append(m)
-    for c, part in parts.items():
-        if c & (c - 1):  # two or more vertices
-            acc_bad, exch_bad = _scan(n, flags, part)
+        if len(comp) > 1:
+            c = mask_of(comp)
+            acc_bad, exch_bad = _scan(n, flags, [m for m in members if not m & ~c])
             if acc_bad or exch_bad:
                 return False
     return True

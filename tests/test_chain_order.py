@@ -109,6 +109,31 @@ def test_prefix_chain_reads_like_the_tuple_of_its_prefixes():
     assert list(empty) == [] and repr(empty) == "()"
 
 
+_BOUNDS = (None, *range(-6, 7))
+_SLICES = [slice(a, b, c) for a in _BOUNDS for b in _BOUNDS
+           for c in (None, 1, -1, 2, -2, 3, -3, 0)]
+
+
+@pytest.mark.parametrize("length", range(6))
+def test_prefix_chain_indexes_exactly_like_the_tuple_of_its_prefixes(length):
+    # every index and slice gives the tuple's value or raises its exception type
+    np = pytest.importorskip("numpy")
+    order = [7, 2, 9, 0, 4][:length]
+    chain = PrefixChain(order)
+    prefixes = tuple(frozenset(order[:j + 1]) for j in range(length))
+    keys = [*range(-7, 8), np.int64(-1), np.int8(2), True, False, 1.0, "1", None, *_SLICES]
+    assert len(keys) == 1590
+    for key in keys:
+        try:
+            expected = prefixes[key]
+        except Exception as exc:
+            with pytest.raises(type(exc)):
+                chain[key]
+        else:
+            got = chain[key]
+            assert type(got) is type(expected) and got == expected, key
+
+
 def test_certificates_built_from_a_view_or_a_tuple_are_equal():
     g = Graph([f"v{i}" for i in range(6)], [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
     for strategy in ("greedy_peel", "constructive"):

@@ -231,6 +231,14 @@ class TestDirectSums:
         assert report.accessibility_violations == (frozenset({0, 2}), frozenset({1, 3}))
         assert (frozenset({4}), frozenset({0, 2})) in report.exchange_violations
 
+    def test_a_failing_component_after_a_passing_one_stops_the_route(self, scans):
+        # P3 + C4 + K2: P3's part passes, C4's part fails, and the whole
+        # family follows without scanning K2's part
+        g = _lattice_graph(9, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 3), (7, 8)])
+        report = verify_greedoid(g)
+        assert report.family_size == 36 and not report.accessibility_ok
+        assert scans == [4, 3, 36]
+
     def test_no_table_beyond_the_graphs_own(self, monkeypatch):
         built = []
         real = stable_core._build_tables
