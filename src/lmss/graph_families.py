@@ -6,8 +6,10 @@ labels (a..f, u/v/x/y/z, a1..an) and synthetic labels p1, p2, ... fill the
 remaining positions in a fixed order. The fixed figures fig1, fig2 and
 fig4_tree are data: the _FIGURES table holds each one's labels in index
 order and its edges as label pairs, and a figure's order is its number of
-labels. Random families draw from SplitMix64 so that one 64-bit seed pins
-the output bit-for-bit.
+labels. Beside it, the _SHAPES table holds each shaped family (path,
+cycle, complete, star, fig7) as its least order and the builder of its
+graph on n vertices. Random families draw from SplitMix64 so that one
+64-bit seed pins the output bit-for-bit.
 """
 
 from __future__ import annotations
@@ -63,8 +65,6 @@ _FIGURES = {  # fixed figure -> (labels in index order, edges as label pairs)
                   (("b", "p1"), ("p1", "c"), ("c", "p2"), ("p2", "p3"), ("p3", "p4"),
                    ("b", "p5"), ("p1", "a"), ("p2", "d"), ("p4", "e"), ("d", "p6"))),
 }
-_MIN_ORDER = {"path": 1, "cycle": 4, "complete": 1, "star": 1, "fig7": 6,
-              "random_tree": 1, "random_forest": 1}
 
 
 @dataclass(frozen=True)
@@ -176,6 +176,15 @@ def _fig7(n: int) -> Graph:
     return Graph(labels, edges)
 
 
+_SHAPES = {  # shaped family -> (least order, builder of its graph on n vertices)
+    "path": (1, lambda n: Graph(_alpha_labels(n), [(i, i + 1) for i in range(n - 1)])),
+    "cycle": (4, lambda n: Graph(_numeric_labels(n), [(i, (i + 1) % n) for i in range(n)])),
+    "complete": (1, lambda n: Graph(_numeric_labels(n), itertools.combinations(range(n), 2))),
+    "star": (1, lambda n: Graph(_alpha_labels(n), [(0, i) for i in range(1, n)])),
+    "fig7": (6, _fig7),
+}
+
+
 def _random_forest(n: int, seed: int, delete_prob: float) -> Graph:
     """A random tree with each edge (in sorted order) independently deleted;
     the deletion draws continue the tree's SplitMix64 stream."""
@@ -201,20 +210,11 @@ def generate(spec: FamilySpec) -> Graph:
         return Graph.from_label_pairs(labels, pairs)
     if n is None:
         raise InvalidFamilyParameterError(f"family {fam!r} requires n")
-    if n < _MIN_ORDER[fam]:
-        raise InvalidFamilyParameterError(f"{fam} requires n >= {_MIN_ORDER[fam]}")
-    if fam == "path":
-        return Graph(_alpha_labels(n), [(i, i + 1) for i in range(n - 1)])
-    if fam == "cycle":
-        return Graph(_numeric_labels(n),
-                     [(i, (i + 1) % n) for i in range(n)])
-    if fam == "complete":
-        return Graph(_numeric_labels(n),
-                     [(i, j) for i in range(n) for j in range(i + 1, n)])
-    if fam == "star":
-        return Graph(_alpha_labels(n), [(0, i) for i in range(1, n)])
-    if fam == "fig7":
-        return _fig7(n)
+    least, build = _SHAPES.get(fam, (1, None))  # the random families start at one vertex
+    if n < least:
+        raise InvalidFamilyParameterError(f"{fam} requires n >= {least}")
+    if build is not None:
+        return build(n)
     seed = 0 if spec.seed is None else _integer(spec.seed, "seed")
     if not 0 <= seed <= _MASK64:  # SplitMix64 would take it modulo 2^64: another seed's draw
         raise InvalidFamilyParameterError(f"seed must lie in [0, 2^64), not {seed}")

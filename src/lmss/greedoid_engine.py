@@ -7,8 +7,9 @@ an exhaustive verifier that checks the two axioms on arbitrary small graphs
 and reports every violation (cycles and the counterexample families live in
 graph_families). The family of a disjoint union is the product of its
 parts' families, and a product of greedoids is a greedoid, so the verifier
-checks a graph of several components one component at a time, and scans
-the whole family only to list the violations of one that fails.
+checks every graph part by part: each component of two or more vertices
+gives a part, and a connected graph is its own only part. The whole family
+is scanned only when a proper part fails, to list its violations.
 
 Every function that asks "is this set in the family?" picks its route once,
 in _membership: the oracle's table lookup when a SubsetOracle is passed
@@ -137,10 +138,11 @@ class GreedoidReport:
     exchange_violations: tuple  # tuple[(smaller, larger) frozenset pairs]
 
 
-def _check_oracle(g: Graph, oracle: SubsetOracle) -> None:
-    """Refuse an oracle whose tables describe a different graph."""
+def _check_oracle(g: Graph, oracle: SubsetOracle) -> SubsetOracle:
+    """``oracle``, refused when its tables describe a different graph."""
     if oracle.graph is not g and oracle.graph != g:
         raise ValueError(f"oracle built for {oracle.graph!r}, not for {g!r}")
+    return oracle
 
 
 def _membership(g: Graph, oracle: SubsetOracle | None, cap):
@@ -150,8 +152,7 @@ def _membership(g: Graph, oracle: SubsetOracle | None, cap):
     or falsy: the table route returns the flag byte itself, the direct
     route psi_walk's walk or None."""
     if oracle is not None:
-        _check_oracle(g, oracle)
-        return oracle.psi_flags().__getitem__
+        return _check_oracle(g, oracle).psi_flags().__getitem__
     return partial(stable_core.psi_walk, g, cap=cap)
 
 
@@ -495,31 +496,6 @@ def _scan(n: int, flags, members) -> tuple[list, list]:
     return acc_bad, exch_bad
 
 
-def _components_are_greedoids(g: Graph, flags, members) -> bool:
-    """True when ``g`` has more than one component and the family of each
-    component with two or more vertices passes both axioms.
-
-    A component's part is every member with no vertex outside it, the
-    empty set included, in the members' order. The parts are scanned in
-    component order against the graph's own flags, since a set inside a
-    component is in the graph's family iff it is in the component's, and
-    the route stops at the first part that fails. A graph with one
-    component (or none) gets False at once, having paid one component
-    walk.
-    """
-    n = g.vertex_count
-    comps = component_lists(g._nbrs, b"\x01" * n)
-    if len(comps) < 2:
-        return False
-    for comp in comps:
-        if len(comp) > 1:
-            c = mask_of(comp)
-            acc_bad, exch_bad = _scan(n, flags, [m for m in members if not m & ~c])
-            if acc_bad or exch_bad:
-                return False
-    return True
-
-
 def verify_greedoid(g: Graph, cap: int | None = None,
                     oracle: SubsetOracle | None = None) -> GreedoidReport:
     """Enumerate the family and check both greedoid axioms exhaustively.
@@ -531,12 +507,17 @@ def verify_greedoid(g: Graph, cap: int | None = None,
 
     The family comes from the graph's cached subset tables (an oracle
     passed in must have been built for ``g``), and _scan checks both axioms
-    over a list of members. A graph of two or more components is first
-    checked component by component, on the same tables: N[S] and alpha
-    split over components, so the family is every union of one member per
-    component, and when each component's family passes both axioms, so
-    does the whole family, and the report (the family's size, both axioms
-    true, no violations) is exact without the whole-family scan:
+    over a list of members. Every graph is checked part by part, on the
+    same tables, in one loop. A graph with fewer than two components is its
+    own only part, the whole family, scanned once. Otherwise each component
+    of two or more vertices gives a part, every member with no vertex
+    outside it (the empty set included), scanned in component order until
+    one fails: a set inside a component is in the graph's family iff it is
+    in the component's. N[S] and alpha split over components, so the family
+    is every union of one member per component, and when each component's
+    family passes both axioms, so does the whole family, and the report
+    (the family's size, both axioms true, no violations) is exact without
+    the whole-family scan:
 
     - Accessibility: a nonempty X meets some component C; removing from
       X's part in C the element that keeps that part in C's family keeps
@@ -547,18 +528,22 @@ def verify_greedoid(g: Graph, cap: int | None = None,
       |X_C| > |Y_C|, so some x in X_C - Y_C extends Y_C inside C's family,
       and Y + x is in the family.
 
-    When some component fails, the whole family is scanned, since its
-    violation lists hold pairs across components too.
+    When a proper part fails, the whole family is scanned, since its
+    violation lists hold pairs across components too; when the failing
+    part is the whole family, its scan is the report's.
     """
-    if oracle is None:
-        oracle = SubsetOracle(g, cap)
-    else:
-        _check_oracle(g, oracle)
+    oracle = SubsetOracle(g, cap) if oracle is None else _check_oracle(g, oracle)
     flags = oracle.psi_flags()
     members = oracle.psi_masks()
-    if not _components_are_greedoids(g, flags, members):
-        acc_bad, exch_bad = _scan(g.vertex_count, flags, members)
+    n = g.vertex_count
+    comps = component_lists(g._nbrs, b"\x01" * n)
+    parts = [members] if len(comps) < 2 else (
+        [m for m in members if not m & ~c] for c in map(mask_of, comps) if c.bit_count() > 1)
+    for part in parts:
+        acc_bad, exch_bad = _scan(n, flags, part)
         if acc_bad or exch_bad:
+            if part is not members:  # a proper part failed: list the whole family's violations
+                acc_bad, exch_bad = _scan(n, flags, members)
             keys = index_tuples(chain.from_iterable(exch_bad))  # Y, X, Y, X, ...
             pairs = sorted(zip(keys[::2], keys[1::2]))
             pairs.sort(key=lambda p: len(p[0]))  # |X| = |Y| + 1: the canonical pair order

@@ -239,6 +239,18 @@ class TestDirectSums:
         assert report.family_size == 36 and not report.accessibility_ok
         assert scans == [4, 3, 36]
 
+    def test_one_component_beside_isolated_vertices_is_scanned_as_a_part(self, scans):
+        # P3 + 2 isolated vertices: P3's part passes, so the report is exact
+        report = verify_greedoid(_lattice_graph(5, [(0, 1), (1, 2)]))
+        assert report == GreedoidReport(16, True, True, (), ())
+        assert scans == [4]
+        # C4 + 2 isolated vertices: C4's part fails, and the whole family follows
+        scans.clear()
+        report = verify_greedoid(_lattice_graph(6, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+        assert scans == [3, 12]
+        assert report.accessibility_violations == (frozenset({0, 2}), frozenset({1, 3}))
+        assert len(report.exchange_violations) == 8
+
     def test_no_table_beyond_the_graphs_own(self, monkeypatch):
         built = []
         real = stable_core._build_tables
