@@ -57,20 +57,47 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def _index_table(offset: int) -> list:
+    """For every byte value b, the ascending tuple of b's set bits plus
+    ``offset``: built by doubling, each new bit above every old one."""
+    table = [()]
+    for i in range(offset, offset + 8):
+        table += [s + (i,) for s in table]
+    return table
+
+
+# bits 0..23, which cover the default enumeration cap; built once at import
+_INDEX_TABLES = tuple(_index_table(8 * k) for k in range(3))
+
+
 def set_of(mask: int) -> frozenset:
-    """The vertex set of ``mask``, through flags_of in linear time (bits_of
-    costs O(width) per member)."""
-    return frozenset(compress(count(), flags_of(mask, 0)))
+    """The vertex set of ``mask``. A mask below 2^24 joins the index tuples
+    of its three bytes from _INDEX_TABLES, the tables stable_core's
+    index_tuples reads; a wider one goes through flags_of, in linear time
+    (bits_of costs O(width) per member)."""
+    if mask >> 24:
+        return frozenset(compress(count(), flags_of(mask, 0)))
+    t0, t1, t2 = _INDEX_TABLES
+    return frozenset(t0[mask & 255] + t1[mask >> 8 & 255] + t2[mask >> 16])
 
 
 _BYTE_OF_DIGIT = bytes.maketrans(b"01", b"\x00\x01")
 _DIGIT_OF_BYTE = bytes.maketrans(b"\x00\x01", b"01")
 
 
+def _digits_as_flags(mask: int) -> bytes:
+    return format(mask, "b")[::-1].encode().translate(_BYTE_OF_DIGIT)
+
+
+# the flags of every mask below 2^8, unpadded; built once at import
+_BYTE_FLAGS = tuple(map(_digits_as_flags, range(256)))
+
+
 def flags_of(mask: int, n: int) -> bytearray:
     """The vertex set ``mask`` as one byte per vertex (1 = member), padded
-    with zeros to at least n bytes, in a few linear passes."""
-    return bytearray(format(mask, "b")[::-1].encode().translate(_BYTE_OF_DIGIT).ljust(n, b"\0"))
+    with zeros to at least n bytes: read from _BYTE_FLAGS below 2^8, else
+    in a few linear passes over its binary digits."""
+    return bytearray((_digits_as_flags(mask) if mask >> 8 else _BYTE_FLAGS[mask]).ljust(n, b"\0"))
 
 
 def mask_of_flags(flags) -> int:
@@ -170,23 +197,23 @@ def leaf_peel(nbrs: Sequence, active) -> tuple[bytearray, tuple, bytearray]:
     return took, tuple(pairs), live
 
 
-def fresh_partners(nbrs: Sequence, pairs, universe) -> tuple[list, tuple]:
+def fresh_partners(nbrs: Sequence, pairs, universe) -> list:
     """The embedding step on the neighbor tuples ``nbrs`` of n vertices: each
     vertex flagged in ``universe`` (one byte per vertex) that the matching
     ``pairs`` leaves exposed gets a fresh partner n, n + 1, ... in ascending
     order, appended to its tuple (above every old index, so it stays sorted).
-    Returns the grown lists and the added edges ``(v, w)``. This is the one
+    Returns the grown lists; the added edges are ``(nb[w][0], w)`` for each
+    fresh vertex w, which only the perfect embedding lists. This is the one
     place where neighbor lists grow: in the perfect embedding and in the
     constructive chain."""
     exposed = bytearray(universe)
     for x, y in pairs:
         exposed[x] = exposed[y] = 0
     nb = list(nbrs)
-    added = tuple(zip(compress(range(len(exposed)), exposed), count(len(nb))))
-    for v, w in added:
-        nb[v] += (w,)
+    for v in compress(range(len(exposed)), exposed):
+        nb[v] += (len(nb),)
         nb.append((v,))
-    return nb, added
+    return nb
 
 
 class Graph:

@@ -147,13 +147,19 @@ def _check_oracle(g: Graph, oracle: SubsetOracle) -> SubsetOracle:
 
 def _membership(g: Graph, oracle: SubsetOracle | None, cap):
     """The family-membership predicate on vertex masks of ``g``: the
-    oracle's table lookup when one is given (after checking that it was
-    built for ``g``), else the direct check. Its answers are only truthy
-    or falsy: the table route returns the flag byte itself, the direct
-    route psi_walk's walk or None."""
-    if oracle is not None:
-        return _check_oracle(g, oracle).psi_flags().__getitem__
-    return partial(stable_core.psi_walk, g, cap=cap)
+    oracle's table lookup when one is given, else the direct check. Its
+    answers are only truthy or falsy: the table route returns the flag byte
+    itself, the direct route psi_walk's walk or None.
+
+    An oracle built for ``g`` itself is taken as it is; any other is checked
+    by _check_oracle, which accepts an equal graph's. The lookup is then the
+    bound __getitem__ of the oracle's flag table, so each call on the oracle
+    route pays for the identity test and one attribute read only."""
+    if oracle is None:
+        return partial(stable_core.psi_walk, g, cap=cap)
+    if oracle.graph is not g:
+        _check_oracle(g, oracle)
+    return oracle._flags.__getitem__
 
 
 def chain_is_valid(cert: ChainCertificate, oracle: SubsetOracle | None = None,
@@ -169,9 +175,12 @@ def chain_is_valid(cert: ChainCertificate, oracle: SubsetOracle | None = None,
     g = cert.graph
     in_psi = _membership(g, oracle, cap)
     if isinstance(cert.chain, PrefixChain):
+        n = g.vertex_count
         m = 0
         for v in cert.chain._order:
-            bit = 1 << g._vertex(v)
+            if type(v) is not int or not 0 <= v < n:  # Graph._vertex converts or refuses it
+                v = g._vertex(v)
+            bit = 1 << v
             if m & bit:
                 return False
             m |= bit
@@ -275,8 +284,8 @@ def exchange_witness(g: Graph, s1, s2, oracle: SubsetOracle | None = None,
     while diff:
         low = diff & -diff
         diff ^= low
-        if in_psi(m1 | low):
-            return ExchangeWitness(s1, s2, low.bit_length() - 1)
+        if in_psi(m1 | low):  # the object ExchangeWitness(s1, s2, v) makes, one call fewer
+            return tuple.__new__(ExchangeWitness, (s1, s2, low.bit_length() - 1))
     if g.is_forest:
         raise InternalError("exchange witness missing on a forest")
     return ExchangeWitness(s1, s2, None)
@@ -368,27 +377,39 @@ def _constructive_chain_order(g: Graph, walk) -> list:
     ``walk`` is stable_core.psi_walk's ``(members, closed, peel)`` for S:
     S and N[S] as flags and the peel of N[S], whose pairs are that matching.
     The embedded forest is g's neighbor lists grown by fresh_partners, with
-    the vertices outside N[S] flagged dead. Each component's vertices then
-    give its live degrees and pendants. ``walk``'s S and N[S] flags are
-    grown in place; its peel, the graph's memoised Graph.peel when N[S] is
-    every vertex, is only read."""
+    the vertices outside N[S] flagged dead. One breadth-first search over
+    it, component_lists' walk from each lowest unvisited vertex, yields each
+    component together with its live degrees and pendants, and that
+    component is peeled before the search goes on (the peel changes only
+    its own vertices). ``walk``'s S and N[S] flags are grown in place; its
+    peel, the graph's memoised Graph.peel when N[S] is every vertex, is only
+    read."""
     n = g.vertex_count
     chosen, live, peel = walk
-    nb, _ = fresh_partners(g._nbrs, peel[1], live)
+    nb = fresh_partners(g._nbrs, peel[1], live)
     live += b"\x01" * (len(nb) - n)
     chosen += bytes(len(nb) - n)
     deg = [0] * len(nb)
+    todo = bytearray(live)
     order = []
-    for comp in component_lists(nb, live):
+    v = todo.find(1)
+    while v >= 0:  # v is the lowest vertex of the next component
+        todo[v] = 0
+        comp = [v]
         pendants = []
         for u in comp:
             d = 0
             for w in nb[u]:
-                d += live[w]
+                if live[w]:
+                    d += 1
+                    if todo[w]:
+                        todo[w] = 0
+                        comp.append(w)
             deg[u] = d
             if d == 1:
                 pendants.append(u)
         order += _component_chain(nb, live, deg, comp, pendants, chosen)
+        v = todo.find(1, v + 1)
     return order
 
 
@@ -422,15 +443,13 @@ def chain_decompose(g: Graph, s, strategy: str = "greedy_peel",
     if strategy == "greedy_peel":
         if not in_psi(s_mask):
             raise NotInPsiError("target set is not a local maximum stable set")
-        return ChainCertificate(graph=g, chain=PrefixChain(_greedy_peel_order(in_psi, s_mask)),
-                                strategy=strategy)
+        return ChainCertificate(g, PrefixChain(_greedy_peel_order(in_psi, s_mask)), strategy)
     walk = stable_core.psi_walk(g, s_mask, cap)
     if walk is None:
         raise NotInPsiError("target set is not a local maximum stable set")
     if not g.is_forest:
         raise NotAForestError("constructive strategy requires a forest")
-    cert = ChainCertificate(graph=g, chain=PrefixChain(_constructive_chain_order(g, walk)),
-                            strategy=strategy)
+    cert = ChainCertificate(g, PrefixChain(_constructive_chain_order(g, walk)), strategy)
     if oracle is not None and not chain_is_valid(cert, oracle):
         raise InternalError("constructive chain left the family")
     return cert

@@ -72,7 +72,8 @@ def embed_perfect(g: Graph, mode: str = "any") -> Embedding:
         raise ValueError(f"unknown mode {mode!r}")
     pairs = leaf_greedy_pairs(g) if mode == "any" else internal_cover_matching(g).edges
     n = g.vertex_count
-    nbrs, added = fresh_partners(g._nbrs, pairs, b"\x01" * n)
+    nbrs = fresh_partners(g._nbrs, pairs, b"\x01" * n)
+    added = tuple((nbrs[w][0], w) for w in range(n, len(nbrs)))
     host = g
     if added:  # g's parts, grown
         labels = list(g.labels)

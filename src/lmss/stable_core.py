@@ -19,7 +19,7 @@ verdict is the walk or None. Each search refuses more vertices than a
 configurable cap. Neighbour masks are built only by the subset tables and,
 for the vertices it searches, by the search. Families leave as frozensets
 in one canonical order, by size and then by ascending index tuple; the
-tuples are joined from per-byte tables built once at import.
+tuples are joined from graph_core's per-byte tables, built once at import.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from operator import getitem, index
 
 from .errors import (InternalError, InvalidVertexError, TooLargeForBruteForce,
                      TooLargeForEnumeration)
-from .graph_core import (Graph, bits_of, closed_flags, flags_of, induced_subgraph, leaf_peel,
-                         mask_of, mask_of_flags, set_of)
+from .graph_core import (_INDEX_TABLES, Graph, _index_table, bits_of, closed_flags, flags_of,
+                         induced_subgraph, leaf_peel, mask_of, mask_of_flags, set_of)
 
 DEFAULT_BRUTE_FORCE_CAP = 24
 DEFAULT_ENUMERATION_CAP = 20
@@ -54,24 +54,11 @@ class PsiFamily:
     members: tuple  # tuple[frozenset], ascending size then lexicographic
 
 
-def _index_table(offset: int) -> list:
-    """For every byte value b, the ascending tuple of b's set bits plus
-    ``offset``: built by doubling, each new bit above every old one."""
-    table = [()]
-    for i in range(offset, offset + 8):
-        table += [s + (i,) for s in table]
-    return table
-
-
-# bits 0..23, which cover the default enumeration cap; built once at import
-_INDEX_TABLES = tuple(_index_table(8 * k) for k in range(3))
-
-
 def index_tuples(masks) -> list:
     """The ascending index tuple of every vertex mask in ``masks`` (any
-    iterable; order and duplicates kept), joined byte by byte from per-byte
-    tables. Masks wider than the prebuilt tables take further tables,
-    built for the call."""
+    iterable; order and duplicates kept), joined byte by byte from the
+    per-byte tables graph_core.set_of reads too. Masks wider than the
+    prebuilt tables take further tables, built for the call."""
     masks = list(masks)
     top = max(masks, default=0).bit_length()
     if top <= 24:

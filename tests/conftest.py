@@ -11,7 +11,8 @@ pair-by-pair exchange scan after them are the subset oracle's and the
 greedoid verifier's earlier routines, kept as references for the
 lane-arithmetic build and the grouped exchange scan. The
 chain builders last are the engine's earlier prefix-mask routines, kept as
-references for the chains it now builds as vertex join orders.
+references for the chains it now builds as vertex join orders, and its
+earlier two-pass join order, kept as the reference for the one-search order.
 
 Hypothesis runs derandomised under one fixed profile, so every property
 test sees the same examples on every run.
@@ -31,7 +32,8 @@ from hypothesis import HealthCheck, settings, strategies as st
 import lmss
 from lmss import (AccessibilityFailure, Graph, FamilySpec, InternalError, Matching,
                   TooLargeForBruteForce, generate)
-from lmss.graph_core import bits_of, mask_of, set_of
+from lmss.graph_core import bits_of, component_lists, fresh_partners, mask_of, set_of
+from lmss.greedoid_engine import _component_chain
 from lmss.stable_core import DEFAULT_BRUTE_FORCE_CAP
 
 settings.register_profile(
@@ -490,6 +492,32 @@ def naive_nested_sets(masks: list) -> tuple:
         prev_mask = m
         sets.append(prev)
     return tuple(sets)
+
+
+def two_pass_chain_order(g: Graph, walk) -> list:
+    """The constructive chain's join order as the engine built it before its
+    single breadth-first search: component_lists over the embedded forest
+    first, then a separate pass for each component's live degrees and
+    pendants. ``walk`` is psi_walk's ``(members, closed, peel)`` and is
+    grown in place, as the engine grows it."""
+    n = g.vertex_count
+    chosen, live, peel = walk
+    nb = fresh_partners(g._nbrs, peel[1], live)
+    live += b"\x01" * (len(nb) - n)
+    chosen += bytes(len(nb) - n)
+    deg = [0] * len(nb)
+    order = []
+    for comp in component_lists(nb, live):
+        pendants = []
+        for u in comp:
+            d = 0
+            for w in nb[u]:
+                d += live[w]
+            deg[u] = d
+            if d == 1:
+                pendants.append(u)
+        order += _component_chain(nb, live, deg, comp, pendants, chosen)
+    return order
 
 
 # -- hypothesis strategies ---------------------------------------------------

@@ -19,6 +19,7 @@ from lmss import (
     alpha,
     chain_decompose,
     chain_is_valid,
+    enumerate_labeled_trees,
     generate,
 )
 from lmss import graph_core, greedoid_engine, stable_core
@@ -31,6 +32,7 @@ from conftest import (
     naive_constructive_chain_masks,
     naive_greedy_peel_masks,
     naive_nested_sets,
+    two_pass_chain_order,
 )
 
 
@@ -254,3 +256,26 @@ def test_constructive_chain_peels_the_neighborhood_once(monkeypatch):
         assert calls == [] and cert.chain[-1] == s
         cert = chain_decompose(g, part, "constructive", oracle=oracle)
         assert calls == [g.vertex_count] and cert.chain[-1] == part
+
+
+def _one_search_matches_two_passes(g, mask):
+    assert (greedoid_engine._constructive_chain_order(g, psi_walk(g, mask))
+            == two_pass_chain_order(g, psi_walk(g, mask)))
+
+
+def test_chain_order_matches_the_two_pass_order_on_every_small_tree():
+    for n in range(2, 8):
+        for g in enumerate_labeled_trees(n):
+            for m in SubsetOracle(g).psi_masks():
+                _one_search_matches_two_passes(g, m)
+
+
+@given(forests(max_n=10))
+def test_chain_order_matches_the_two_pass_order_on_forest_members(g):
+    for m in SubsetOracle(g).psi_masks():
+        _one_search_matches_two_passes(g, m)
+
+
+@given(forests(max_n=80))
+def test_chain_order_matches_the_two_pass_order_on_the_alpha_set(g):
+    _one_search_matches_two_passes(g, mask_of_flags(g.peel[0]))

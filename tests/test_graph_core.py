@@ -23,7 +23,7 @@ from lmss import (
     parse_graph,
     pendant_vertices,
 )
-from lmss.graph_core import closed_flags
+from lmss.graph_core import bits_of, closed_flags, flags_of, mask_of_flags, set_of
 from conftest import (
     cyclic_cores,
     forests,
@@ -433,3 +433,27 @@ def test_path_generator_shape():
     g = path(6)
     assert g.vertex_count == 6 and g.edge_count == 5
     assert g.labels == ("a", "b", "c", "d", "e", "f")
+
+
+@pytest.mark.parametrize("mask", [
+    0, 1, 2**8 - 1, 2**16, 2**24 - 1, 2**24, 2**24 + 1,
+    int(("1" + "0" * 96) * 1031, 2) | 0xA5,  # 100 007 bits, 1 035 of them set
+], ids=["0", "1", "2^8-1", "2^16", "2^24-1", "2^24", "2^24+1", "10^5 bits"])
+def test_set_of_reads_every_bit_at_the_table_boundaries(mask):
+    assert set_of(mask) == frozenset(bits_of(mask))
+    assert type(set_of(mask)) is frozenset
+
+
+def test_set_of_reads_every_narrow_mask():
+    for mask in range(1 << 12):
+        assert set_of(mask) == frozenset(bits_of(mask))
+
+
+def test_flags_of_pads_to_n_on_both_sides_of_its_byte_table():
+    # one byte per digit of the mask (one for 0), padded with zeros to n
+    for mask in [*range(600), 2**24 - 1, 2**24 + 1]:
+        for n in (0, 1, 7, 8, 9, 12, 30):
+            flags = flags_of(mask, n)
+            assert type(flags) is bytearray
+            assert len(flags) == max(n, mask.bit_length(), 1)
+            assert set(flags) <= {0, 1} and mask_of_flags(flags) == mask

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +10,7 @@ from lmss.stable_core import canonical_sets
 from lmss import (
     AccessibilityFailure,
     ChainCertificate,
+    ExchangeWitness,
     FamilySpec,
     Graph,
     InternalError,
@@ -244,8 +247,106 @@ class TestExchangeWitness:
                 assert chain_is_valid(cert, oracle=oracle) is verdict
 
 
+class TestPrefixChainRefusals:
+    """chain_is_valid on a PrefixChain reads plain ints in range without a
+    call, and hands every other vertex to Graph._vertex: the refusal keeps
+    its type, its message and its place along the order."""
+
+    # a and b are pendants of two K2s, so {a}, then {a, b} are members
+    TWO_K2 = Graph(["a", "b", "c", "d"], [(0, 2), (1, 3)])
+
+    @pytest.mark.parametrize("route", ["direct", "oracle"])
+    @pytest.mark.parametrize("bad, outcome", [
+        ("numpy.int64(1)", True),
+        (True, True),
+        (-1, "vertex -1 out of range 0..3"),
+        (4, "vertex 4 out of range 0..3"),
+        (2.0, "vertex 2.0 is not an index"),
+        (None, "vertex None is not an index"),
+        ("1", "vertex '1' is not an index"),
+    ], ids=["numpy-int64", "True", "-1", "n", "2.0", "None", "str"])
+    def test_each_vertex_keeps_its_outcome(self, route, bad, outcome):
+        if bad == "numpy.int64(1)":
+            bad = pytest.importorskip("numpy").int64(1)
+        g = self.TWO_K2
+        oracle = SubsetOracle(g) if route == "oracle" else None
+        cert = ChainCertificate(g, PrefixChain([0, bad]), "greedy_peel")
+        if outcome is True:
+            assert chain_is_valid(cert, oracle=oracle) is True
+        else:
+            with pytest.raises(InvalidVertexError) as e:
+                chain_is_valid(cert, oracle=oracle)
+            assert str(e.value) == outcome
+
+    @pytest.mark.parametrize("route", ["direct", "oracle"])
+    @pytest.mark.parametrize("order", [[0, 2, "x"], [0, 1, 0, None], [1, 2, 3, -1]],
+                             ids=["edge", "repeated", "edge-later"])
+    def test_a_prefix_failing_before_a_bad_vertex_returns_false(self, route, order):
+        g = self.TWO_K2
+        oracle = SubsetOracle(g) if route == "oracle" else None
+        assert chain_is_valid(ChainCertificate(g, PrefixChain(order), "greedy_peel"),
+                              oracle=oracle) is False
+
+
+class TestRecords:
+    """The records the calls return keep the behaviour of their classes,
+    however the engine builds them."""
+
+    @pytest.mark.parametrize("route", ["direct", "oracle"])
+    def test_exchange_witness_is_a_plain_named_tuple(self, p6, route):
+        oracle = SubsetOracle(p6) if route == "oracle" else None
+        s1, s2 = frozenset({0}), frozenset({0, 5})
+        w = exchange_witness(p6, s1, s2, oracle=oracle)
+        assert type(w) is ExchangeWitness
+        assert w == ExchangeWitness(s1, s2, 5) == (s1, s2, 5)
+        assert (w.s1, w.s2, w.witness) == tuple(w) and len(w) == 3
+        assert repr(w) == "ExchangeWitness(s1=frozenset({0}), s2=frozenset({0, 5}), witness=5)"
+        absent = w._replace(witness=None)
+        assert type(absent) is ExchangeWitness and absent == ExchangeWitness(s1, s2, None)
+        assert hash(w) == hash(ExchangeWitness(s1, s2, 5))
+
+    @pytest.mark.parametrize("strategy", ["greedy_peel", "constructive"])
+    def test_chain_certificate_keeps_its_repr_equality_and_frozenness(self, p4, strategy):
+        cert = chain_decompose(p4, {0, 2}, strategy, oracle=SubsetOracle(p4))
+        prefixes = (frozenset({0}), frozenset({0, 2}))
+        assert cert == ChainCertificate(graph=p4, chain=prefixes, strategy=strategy)
+        assert repr(cert) == (f"ChainCertificate(graph=Graph(n=4, m=3), "
+                              f"chain={prefixes!r}, strategy={strategy!r})")
+        assert (cert.graph, cert.strategy) == (p4, strategy)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cert.strategy = "other"
+
+
 class TestForeignOracle:
     """An oracle answers for the graph it was built for, never another."""
+
+    CALLS = {
+        "exchange_witness": lambda g, o: exchange_witness(g, set(), {0}, oracle=o),
+        "nt_extend": lambda g, o: nt_extend(g, set(), {0, 2}, oracle=o),
+        "union_local_max": lambda g, o: union_local_max(g, set(), {0}, oracle=o),
+        "greedy_peel": lambda g, o: chain_decompose(g, {0, 2}, "greedy_peel", oracle=o),
+        "constructive": lambda g, o: chain_decompose(g, {0, 2}, "constructive", oracle=o),
+        "chain_is_valid tuple": lambda g, o: chain_is_valid(
+            ChainCertificate(g, (frozenset({0}),), "greedy_peel"), oracle=o),
+        "chain_is_valid PrefixChain": lambda g, o: chain_is_valid(
+            ChainCertificate(g, PrefixChain([0, 2]), "greedy_peel"), oracle=o),
+        "verify_greedoid": lambda g, o: verify_greedoid(g, oracle=o),
+    }
+
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    def test_oracle_of_another_forest_refused_with_its_text(self, p4, call):
+        # two K2s on P4's labels: a forest whose family holds {0} and {0, 2}
+        # too, so only the refusal, which comes first, tells them apart
+        other = Graph(p4.labels, [(0, 1), (2, 3)])
+        with pytest.raises(ValueError) as e:
+            call(p4, SubsetOracle(other))
+        assert str(e.value) == "oracle built for Graph(n=4, m=2), not for Graph(n=4, m=3)"
+
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    def test_oracle_of_an_equal_forest_answers_like_its_own(self, p4, call):
+        twin = path(4)
+        assert twin == p4 and twin is not p4
+        assert call(p4, SubsetOracle(twin)) == call(p4, SubsetOracle(p4)) == call(p4, None)
 
     @pytest.mark.parametrize("call", [
         lambda g, o: exchange_witness(g, set(), {0}, oracle=o),

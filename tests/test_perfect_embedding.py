@@ -51,8 +51,8 @@ class TestFreshPartners:
         g = Graph([f"v{i}" for i in range(8)], [(1, 2), (2, 3), (2, 4), (5, 6), (6, 7)])
         pairs = maximum_matching(g).edges
         assert pairs == ((1, 2), (5, 6))
-        nb, added = fresh_partners(g._nbrs, pairs, flags_of((1 << g.vertex_count) - 1, 8))
-        assert added == ((0, 8), (3, 9), (4, 10), (7, 11))
+        nb = fresh_partners(g._nbrs, pairs, flags_of((1 << g.vertex_count) - 1, 8))
+        assert [(nb[w][0], w) for w in range(8, len(nb))] == [(0, 8), (3, 9), (4, 10), (7, 11)]
         # each fresh vertex is appended to its partner's tuple, which stays sorted
         assert nb == [(8,), (2,), (1, 3, 4), (2, 9), (2, 10), (6,), (5, 7), (6, 11),
                       (0,), (3,), (4,), (7,)]
@@ -61,18 +61,17 @@ class TestFreshPartners:
         # more (isolated) vertices the fresh ones start at 20
         assert closed_neighborhood(g, {3, 7}) == {2, 3, 6, 7}
         nbrs = g._nbrs + ((),) * 12
-        assert fresh_partners(nbrs, pairs, flags_of(mask_of({2, 3, 6, 7}), 20))[1] == \
-            ((3, 20), (7, 21))
-        assert fresh_partners(g._nbrs, pairs, flags_of(0, 8)) == (list(g._nbrs), ())
+        assert fresh_partners(nbrs, pairs, flags_of(mask_of({2, 3, 6, 7}), 20))[20:] == [(3,), (7,)]
+        assert fresh_partners(g._nbrs, pairs, flags_of(0, 8)) == list(g._nbrs)
 
     def test_dropped_partner_is_caught(self, monkeypatch):
         step = perfect_embedding.fresh_partners
 
-        def dropped(*args):  # the last partner leaves both the lists and the edges
-            nb, added = step(*args)
-            v, w = added[-1]
-            nb[v] = nb[v][:-1]
-            return nb[:w], added[:-1]
+        def dropped(*args):  # the last partner leaves the lists, so the edges too
+            nb = step(*args)
+            w = len(nb) - 1
+            nb[nb[w][0]] = nb[nb[w][0]][:-1]
+            return nb[:w]
 
         monkeypatch.setattr(perfect_embedding, "fresh_partners", dropped)
         for mode in ("any", "pendant_only"):
@@ -148,11 +147,11 @@ class TestCertificateCheck:
         step = perfect_embedding.fresh_partners
 
         def hung_twice(*args):  # the last fresh vertex also joins vertex 0, closing a cycle
-            nb, added = step(*args)
-            v, w = added[-1]
+            nb = step(*args)
+            w = len(nb) - 1
             nb[0] += (w,)
-            nb[w] = (0, v)
-            return nb, added
+            nb[w] += (0,)  # after its partner, so the added edge read from it stays
+            return nb
 
         monkeypatch.setattr(perfect_embedding, "fresh_partners", hung_twice)
         for mode in ("any", "pendant_only"):
