@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
@@ -632,14 +634,30 @@ def labels_to_set(g: Graph, *labels: str) -> frozenset:
 
 # -- fresh interpreters --------------------------------------------------------
 
+CHECKOUT = Path(__file__).resolve().parent.parent
+
+
+def lmss_command() -> tuple[list, dict]:
+    """The command line and environment that run the imported lmss as a
+    process: ``python -m lmss`` if it came from this checkout's src/, else
+    the ``lmss`` console script on PATH, which must then be there."""
+    src = os.path.dirname(os.path.dirname(lmss.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    if Path(src).resolve() == CHECKOUT / "src":
+        return [sys.executable, "-m", "lmss"], env
+    script = shutil.which("lmss")
+    if script is None:
+        pytest.fail(f"lmss is imported from {src}, outside {CHECKOUT / 'src'}, "
+                    "and no lmss console script is on PATH to run it as a process")
+    return [script], env
+
 
 def fresh_python(code: str, *argv: str, stdin: str | None = None):
     """The JSON value that ``code`` prints last, run by a new interpreter on
     this lmss (nothing loaded before ``code`` imports it), with ``argv``
     after its sys.argv[0]."""
-    src = os.path.dirname(os.path.dirname(lmss.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    env = lmss_command()[1]
     res = subprocess.run([sys.executable, "-c", code, *argv], input=stdin, env=env,
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0 and not res.stderr, res.stderr

@@ -1,9 +1,10 @@
 import io
 import json
-import os
+import resource
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from itertools import count
 from types import SimpleNamespace
 
@@ -13,7 +14,7 @@ import lmss
 from lmss import (AccessibilityFailure, InternalError, graph_families, greedoid_engine,
                   selftest, stable_core)
 from lmss.cli import main
-from conftest import fresh_python
+from conftest import CHECKOUT, fresh_python, lmss_command
 
 FIG1_TEXT = """# family: fig1
 # n: 6
@@ -276,6 +277,9 @@ class TestErrorPaths:
     def test_bad_family_exit_2(self, capsys, monkeypatch):
         code, _, err = run(capsys, monkeypatch, ["gen", "--family", "cycle", "-n", "3"])
         assert code == 2 and "cycle" in err
+        # a fixed figure refuses any other order: exit 2, one error line
+        code, _, err = run(capsys, monkeypatch, ["gen", "--family", "fig2", "-n", "8"])
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ["selftest", "--cap", "3"],
@@ -463,17 +467,23 @@ except AttributeError as exc:
             lmss.no_such_name
 
 
+DEV_MODE = {"PYTHONDEVMODE": "1", "PYTHONWARNINGS": "error"}  # python -X dev -W error
+
+
+def _under_1gb():  # ulimit -v 1000000: 1 000 000 KiB of address space, in the child only
+    resource.setrlimit(resource.RLIMIT_AS, (1_024_000_000, 1_024_000_000))
+
+
 class TestSubprocessContract:
     """The installed entry point behaves like the in-process API."""
 
-    def _run(self, args, stdin=None, env_extra=None):
+    def _run(self, args, stdin=None, env_extra=None, timeout=120, **kwargs):
         """The console entry point on ``args``; bytes on stdin give bytes back."""
-        env = dict(os.environ)
+        cmd, env = lmss_command()
         if env_extra:
             env.update(env_extra)
-        return subprocess.run([sys.executable, "-m", "lmss", *args],
-                              input=stdin, capture_output=True,
-                              text=not isinstance(stdin, bytes), env=env, timeout=120)
+        return subprocess.run([*cmd, *args], input=stdin, capture_output=True, env=env,
+                              text=not isinstance(stdin, bytes), timeout=timeout, **kwargs)
 
     def test_pipe_gen_into_verify(self):
         gen = self._run(["gen", "--family", "fig7", "-n", "6"])
@@ -483,17 +493,29 @@ class TestSubprocessContract:
         data = json.loads(ver.stdout)
         assert [["a1"], ["a4", "a5"]] in data["exchange_violations"]
 
+    @pytest.mark.parametrize("family", ["fig1", "fig2", "fig4_tree"])
+    def test_fixed_figure_pipes_into_alpha_with_a_clean_stderr(self, family):
+        gen = self._run(["gen", "--family", family])
+        res = self._run(["alpha", "-"], stdin=gen.stdout)
+        assert (gen.returncode, gen.stderr, res.returncode, res.stderr) == (0, "", 0, "")
+
     def test_byte_identical_across_hash_seeds(self):
-        # different PYTHONHASHSEED processes must emit identical bytes
+        # different PYTHONHASHSEED processes, and one in dev mode with every
+        # warning an error, must emit identical bytes on a clean stderr
+        fig4 = self._run(["gen", "--family", "fig4_tree"]).stdout
         outs = []
-        for seed in ("0", "424242"):
+        for env_extra in ({"PYTHONHASHSEED": "0"}, {"PYTHONHASHSEED": "424242"}, DEV_MODE):
             gen = self._run(["gen", "--family", "random_tree", "-n", "12",
                              "--seed", "99", "--format", "json"],
-                            env_extra={"PYTHONHASHSEED": seed})
+                            env_extra=env_extra)
             ver = self._run(["verify-greedoid", "-", "--format", "json"],
-                            stdin=FIG1_TEXT, env_extra={"PYTHONHASHSEED": seed})
-            outs.append((gen.stdout, ver.stdout))
-        assert outs[0] == outs[1]
+                            stdin=FIG1_TEXT, env_extra=env_extra)
+            chain = self._run(["chain", "-", "--set", "a,b,c,d,e", "--strategy", "constructive"],
+                              fig4, env_extra)
+            selftest = self._run(["selftest"], env_extra=env_extra)
+            outs.append([(r.returncode, r.stdout, r.stderr) for r in (gen, ver, chain, selftest)])
+        assert outs[0] == outs[1] == outs[2]
+        assert [(code, err) for code, _, err in outs[0]] == [(0, ""), (1, ""), (0, ""), (0, "")]
 
     @pytest.mark.parametrize("data, env_extra, code", [
         (b"\xef\xbb\xbf\xef\xbb\xbf" + FIG1_TEXT.encode(), None, 2),
@@ -534,8 +556,98 @@ class TestSubprocessContract:
         assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
         assert "Traceback" not in res.stderr
 
+    def test_every_help_runs_clean(self):
+        for cmd in ("alpha", "omega", "psi", "matching", "ke-check", "embed", "chain",
+                    "nt-extend", "exchange", "verify-greedoid", "gen", "selftest"):
+            res = self._run([cmd, "--help"])
+            assert (res.returncode, res.stderr) == (0, ""), cmd
+
     def test_selftest_quick(self):
         res = self._run(["selftest"])
         assert res.returncode == 0
         lines = [l for l in res.stdout.splitlines() if l.startswith("criterion")]
         assert len(lines) == 9 and all("PASS" in l for l in lines)
+
+    def test_forest_commands_run_clean_in_dev_mode(self):
+        forest = self._run(["gen", "--family", "random_forest", "-n", "2000", "--seed", "1"], b"")
+        out = {}
+        for cmd in ("alpha", "embed", "embed --pendant-only", "matching --internal-cover",
+                    "ke-check"):
+            res = self._run([*cmd.split(), "-", "--format", "json"], forest.stdout, DEV_MODE)
+            out[cmd] = json.loads(res.stdout)
+            # emit's own JSON writer gives json.dumps's bytes
+            assert (res.returncode, res.stderr, res.stdout) == (0, b"", (json.dumps(
+                out[cmd], indent=2, ensure_ascii=False) + "\n").encode()), cmd
+        # the peel's flags give alpha's witness and ke-check's count alike
+        assert out["alpha"]["alpha"] == out["ke-check"]["alpha"] == len(out["alpha"]["set"])
+
+    @pytest.mark.parametrize("n, k, c, argv, env_extra, timeout, expect", [
+        # a triangle, then 1 500 isolated vertices: alpha searches 1 500 levels
+        # deep, and the membership check searches only the triangle
+        (1503, 0, 3, ["alpha", "--cap", "2000"], DEV_MODE, 120, {"alpha": 1501}),
+        (1503, 0, 3, ["psi", "--set", ",".join(f"x{i}" for i in [0, *range(3, 33)])], None,
+         120, {"is_local_max_stable": True}),
+        # 20 disjoint edges, then a 5-cycle: the search takes the lower end of
+        # each edge without branching, so alpha answers at once
+        (45, 20, 5, ["alpha", "--cap", "50"], None, 10, {"alpha": 22}),
+        # 4 disjoint edges beside 12 isolated vertices, 3^4 * 2^12 members:
+        # verified component by component, not by the whole-family scan
+        (20, 4, 0, ["verify-greedoid"], None, 10, {"family_size": 331776}),
+        # 10 disjoint edges on 20 vertices, 3^10 members: at the default cap the
+        # graph with the most components of two or more vertices, so the most
+        # passes of the per-component member filter
+        (20, 10, 0, ["verify-greedoid"], None, 10,
+         {"family_size": 59049, "accessibility_ok": True, "exchange_ok": True})],
+        ids=["triangle alpha", "triangle psi", "5-cycle alpha", "4 edges", "10 edges"])
+    def test_disjoint_edges_and_a_cycle(self, n, k, c, argv, env_extra, timeout, expect):
+        # k disjoint edges, then a c-cycle, then isolated vertices up to n
+        vs = [f"x{i}" for i in range(n)]
+        es = [(2 * i, 2 * i + 1) for i in range(k)] + [(2 * k + i, 2 * k + (i + 1) % c)
+                                                      for i in range(c)]
+        text = "\n".join([f"p {n} {len(es)}", *(f"v {v}" for v in vs),
+                          *(f"e {vs[a]} {vs[b]}" for a, b in es)]) + "\n"
+        res = self._run([argv[0], "-", *argv[1:], "--format", "json"], text, env_extra, timeout)
+        r = json.loads(res.stdout)
+        assert (res.returncode, res.stderr) == (0, "") and {x: r[x] for x in expect} == expect, r
+
+    def test_cycle_fails_accessibility_alike_beside_isolated_vertices(self):
+        # C8 fails accessibility; beside two isolated vertices its part fails
+        # first, and the whole-family scan lists the same two violations
+        c8 = self._run(["gen", "--family", "cycle", "-n", "8"]).stdout
+        c8x = c8.replace("p 8 8\n", "p 10 8\n").replace("v 8\n", "v 8\nv x\nv y\n")
+        runs = [self._run(["verify-greedoid", "-", "--format", "json"], g) for g in (c8, c8x)]
+        a, b = (json.loads(r.stdout)["accessibility_violations"] for r in runs)
+        assert [r.returncode for r in runs] == [1, 1] and a == b and len(a) == 2, (a, b)
+
+    def test_embeddings_at_100k_within_bounds(self):
+        # a perfect embedding at n=100000 in under 1 GB of address space and 30 s
+        # (about 1.7 s on one core): by Konig-Egervary the host has twice the
+        # forest's alpha vertices, and one fresh vertex per added edge. Pendant-only
+        # mode runs the internal-cover repair at scale: the same counts, and every
+        # added edge starts at a vertex of degree at most 1
+        gen = ["gen", "--family", "random_forest", "-n", "100000", "--seed", "1"]
+        cmd, env = lmss_command()
+        with subprocess.Popen([*cmd, *gen], stdout=subprocess.PIPE, env=env,
+                              preexec_fn=_under_1gb) as piped:
+            embed = subprocess.run([*cmd, "embed", "-", "--format", "json"], env=env,
+                                   stdin=piped.stdout, capture_output=True, timeout=30,
+                                   preexec_fn=_under_1gb)
+        forest = self._run(gen).stdout
+        pendant = self._run(["embed", "-", "--pendant-only", "--format", "json"], forest,
+                            timeout=30, preexec_fn=_under_1gb)
+        alpha = json.loads(self._run(["alpha", "-", "--format", "json"], forest).stdout)
+        deg = Counter(w for line in forest.splitlines() if line.startswith("e ")
+                      for w in line.split()[1:3])
+        assert piped.returncode == embed.returncode == pendant.returncode == 0
+        for e in map(json.loads, (embed.stdout, pendant.stdout)):
+            n = len(e["host"]["labels"])
+            assert n == 2 * alpha["alpha"] and len(e["added_edges"]) == n - 100000
+        assert not [v for v, _ in e["added_edges"] if deg[v] > 1]  # e: the pendant-only one
+
+    def test_constructive_chain_at_100k_within_bounds(self):
+        # a constructive certificate at n=100000 in under 1 GB of address space
+        # and 60 s (through the library: the CLI's chain output is quadratic by format)
+        res = subprocess.run([sys.executable, CHECKOUT / "scripts" / "chain_scale.py", "100000"],
+                             capture_output=True, env=lmss_command()[1], timeout=60,
+                             preexec_fn=_under_1gb)
+        assert res.returncode == 0, res.stderr
