@@ -14,6 +14,7 @@ times, with each side's SubsetOracle passed in:
 - chain_decompose with the constructive and the greedy_peel strategy;
 - chain_is_valid on the certificates of both strategies;
 - exchange_witness on every size-adjacent pair of members;
+- nt_extend with every member as s1 and every maximum stable set as s2;
 - set_of on every member mask;
 - SubsetOracle plus verify_greedoid, on graphs built afresh outside the
   timer, so the subset tables are built inside it.
@@ -41,7 +42,7 @@ import time
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 CALLS = ("chain_decompose constructive", "chain_decompose greedy_peel", "chain_is_valid",
-         "exchange_witness", "set_of", "SubsetOracle + verify_greedoid")
+         "exchange_witness", "nt_extend", "set_of", "SubsetOracle + verify_greedoid")
 MIN_ROUNDS = 3
 
 
@@ -67,6 +68,7 @@ class Side:
         self.items = []  # (g, oracle, member set)
         self.masks = []
         self.pairs = []  # (g, oracle, smaller, larger)
+        self.extensions = []  # (g, oracle, member, maximum set)
         for g in self.graphs:
             oracle = lm.SubsetOracle(g)
             by_size = {}
@@ -77,6 +79,8 @@ class Side:
                 by_size.setdefault(len(s), []).append(s)
             self.pairs += [(g, oracle, y, x) for k, ys in by_size.items() for y in ys
                            for x in by_size.get(k + 1, ())]
+            self.extensions += [(g, oracle, s1, s2) for ss in by_size.values() for s1 in ss
+                                for s2 in by_size[max(by_size)]]
         self.certs = [(lm.chain_decompose(g, s, strategy, oracle=oracle), oracle)
                       for g, oracle, s in self.items
                       for strategy in ("constructive", "greedy_peel")]
@@ -97,6 +101,8 @@ class Side:
             out = [lm.chain_is_valid(c, oracle=o) for c, o in self.certs]
         elif call == "exchange_witness":
             out = [lm.exchange_witness(g, y, x, oracle=o) for g, o, y, x in self.pairs]
+        elif call == "nt_extend":
+            out = [lm.nt_extend(g, s1, s2, oracle=o) for g, o, s1, s2 in self.extensions]
         elif call == "set_of":
             out = list(map(self.set_of, self.masks))
         else:

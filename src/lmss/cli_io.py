@@ -4,7 +4,7 @@ File format (line oriented, '#' starts a comment):
 
     p <n> <m>        header: vertex and edge counts
     v <label>        n vertex lines; labels are non-empty tokens free of
-                     whitespace and '#' (Graph refuses any other label)
+                     whitespace, '#' and ',' (Graph refuses any other label)
     e <label> <label>  m edge lines
 
 Explicit vertex declaration keeps isolated vertices and custom labels intact.
@@ -75,7 +75,8 @@ def parse_graph(text) -> GraphDocument:
     """Parse the edge-list format into a validated graph.
 
     Duplicate edges collapse with a DuplicateEdgeWarning; self-loops and
-    references to undeclared labels are errors carrying the line number.
+    references to undeclared labels are errors carrying the line number,
+    and counts the lines fall short of name the header's line.
     ``text`` is a str or UTF-8 bytes; one leading byte-order mark is dropped.
     """
     if isinstance(text, bytes):
@@ -127,7 +128,7 @@ def parse_graph(text) -> GraphDocument:
                 raise GraphSyntaxError(lineno, "vertex/edge counts must be integers") from None
             if n < 0 or m < 0:
                 raise GraphSyntaxError(lineno, "vertex/edge counts must be non-negative")
-            header = (n, m)
+            header = lineno  # the line the count checks at the end name
         elif kind == "v":
             if len(fields) != 2:
                 raise GraphSyntaxError(lineno, "expected 'v <label>'")
@@ -138,6 +139,8 @@ def parse_graph(text) -> GraphDocument:
             lbl = fields[1]
             if lbl in index:
                 raise GraphSyntaxError(lineno, f"duplicate vertex label {lbl!r}")
+            if "," in lbl:  # a vertex set on the command line separates labels by ','
+                raise GraphSyntaxError(lineno, f"vertex label {lbl!r} holds ','")
             index[lbl] = len(labels)
             labels.append(lbl)
         else:
@@ -145,10 +148,10 @@ def parse_graph(text) -> GraphDocument:
     if header is None:
         raise GraphSyntaxError(1, "empty input: missing 'p <n> <m>' header")
     if len(labels) != n:
-        raise GraphSyntaxError(1, f"declared {n} vertices but found {len(labels)}")
+        raise GraphSyntaxError(header, f"declared {n} vertices but found {len(labels)}")
     if edge_lines != m:
-        raise GraphSyntaxError(1, f"declared {m} edges but found {edge_lines}")
-    # every label is a token (no whitespace or '#') and distinct, and every
+        raise GraphSyntaxError(header, f"declared {m} edges but found {edge_lines}")
+    # every label is a token (no whitespace, '#' or ',') and distinct, and every
     # edge is normalised, distinct and loop-free: Graph's checks would all pass
     return GraphDocument(graph=Graph._trusted(tuple(labels), index, edges), source="file",
                          metadata={"format_version": FORMAT_VERSION})

@@ -2,8 +2,9 @@
 
 Vertices are dense indices 0..n-1; every vertex carries a distinct string
 label so example graphs and test fixtures stay readable in I/O. A label is a
-non-empty token without whitespace or '#', so every graph written in the
-text format parses back; Graph refuses any other label.
+non-empty token without whitespace, '#' or ',', so every graph written in
+the text format parses back, and so does every vertex set the CLI writes
+as comma-separated labels; Graph refuses any other label.
 
 Adjacency is kept as one ascending tuple of neighbors per vertex, and one
 rule holds across the package: neighbor lists for traversal, bitmasks only
@@ -39,7 +40,7 @@ from .errors import InvalidVertexError, SelfLoopError
 
 VertexSet = frozenset  # subset of vertex indices of a specific Graph
 
-_LABEL_BREAK = re.compile(r"[\s#]")
+_LABEL_BREAK = re.compile(r"[\s#,]")
 
 
 def bits_of(mask: int) -> Iterator[int]:
@@ -72,13 +73,25 @@ _INDEX_TABLES = tuple(_index_table(8 * k) for k in range(3))
 
 def set_of(mask: int) -> frozenset:
     """The vertex set of ``mask``. A mask below 2^24 joins the index tuples
-    of its three bytes from _INDEX_TABLES, the tables stable_core's
-    index_tuples reads; a wider one goes through flags_of, in linear time
-    (bits_of costs O(width) per member)."""
+    of its three bytes from _INDEX_TABLES; a wider one goes through
+    flags_of, in linear time (bits_of costs O(width) per member).
+    index_tuples takes the same two routes for many masks at once."""
     if mask >> 24:
         return frozenset(compress(count(), flags_of(mask, 0)))
     t0, t1, t2 = _INDEX_TABLES
     return frozenset(t0[mask & 255] + t1[mask >> 8 & 255] + t2[mask >> 16])
+
+
+def index_tuples(masks) -> list:
+    """The ascending index tuple of every vertex mask in ``masks`` (any
+    iterable; order and duplicates kept), by set_of's two routes: joined
+    byte by byte from _INDEX_TABLES when every mask is below 2^24, else
+    each read off its flags_of."""
+    masks = list(masks)
+    if max(masks, default=0) >> 24:
+        return [tuple(compress(count(), flags_of(m, 0))) for m in masks]
+    t0, t1, t2 = _INDEX_TABLES
+    return [t0[m & 255] + t1[m >> 8 & 255] + t2[m >> 16] for m in masks]
 
 
 _BYTE_OF_DIGIT = bytes.maketrans(b"01", b"\x00\x01")
@@ -234,7 +247,7 @@ class Graph:
             raise ValueError(f"vertex label {bad!r} is not a string") from None
         if "" in labels or _LABEL_BREAK.search(joined):
             bad = next(lbl for lbl in labels if not lbl or _LABEL_BREAK.search(lbl))
-            raise ValueError(f"vertex label {bad!r} is empty or holds whitespace or '#'")
+            raise ValueError(f"vertex label {bad!r} is empty or holds whitespace, '#' or ','")
         n = len(labels)
         positions = {}
         for i, lbl in enumerate(labels):

@@ -50,8 +50,8 @@ from .errors import (
     SizeMismatchError,
 )
 from .graph_core import (Graph, closed_flags, component_lists, flags_of, fresh_partners,
-                         mask_of, mask_of_flags, set_of)
-from .stable_core import SubsetOracle, canonical_sets, index_tuples
+                         index_tuples, mask_of, mask_of_flags, set_of)
+from .stable_core import SubsetOracle, canonical_sets
 
 
 class PrefixChain(Sequence):
@@ -247,20 +247,24 @@ def nt_extend(g: Graph, s1, s2, oracle: SubsetOracle | None = None,
     using only vertices of the maximum stable set ``s2``.
 
     Takes s3 = s2 - N[s1] and returns s1 | s3; the result is maximum in any
-    graph, which is asserted before returning. Membership of ``s1`` and
-    alpha come from the oracle when one is given, else from the direct
-    check and stable_core.alpha.
+    graph, which is asserted before returning. A set is maximum iff it is a
+    stable family member whose N[S] is every vertex (S is then maximum in
+    the subgraph N[S] induces, the whole graph), so ``s2`` is checked by
+    that test, with no alpha taken: N[s2] first, so a non-maximal ``s2``
+    starts no search, then its membership. Membership of both sets is read
+    from the oracle when one is given, else checked directly.
     """
     _, m1 = g.check_vertices_mask(s1)
     _, m2 = g.check_vertices_mask(s2)
-    if not _membership(g, oracle, cap)(m1):  # checks the oracle's graph before its alpha
+    in_psi = _membership(g, oracle, cap)
+    if not in_psi(m1):
         raise NotInPsiError("s1 is not a local maximum stable set")
-    a = oracle.alpha() if oracle is not None else stable_core.alpha(g, cap).size
-    if m2.bit_count() != a or not stable_core.stable_mask(g, m2):
+    closed = closed_flags(g._nbrs, flags_of(m2, g.vertex_count))
+    if closed is None or 0 in closed or not in_psi(m2):
         raise NotMaximumError("s2 is not a maximum stable set")
     result = m1 | (m2 & ~mask_of_flags(closed_flags(g._nbrs, flags_of(m1, g.vertex_count))))
-    if result.bit_count() != a or not stable_core.stable_mask(g, result):  # pragma: no cover
-        raise InternalError("extension missed the stability number")
+    if result.bit_count() != m2.bit_count() or not stable_core.stable_mask(g, result):
+        raise InternalError("extension missed the stability number")  # pragma: no cover
     return set_of(result)
 
 

@@ -19,19 +19,19 @@ verdict is the walk or None. Each search refuses more vertices than a
 configurable cap. Neighbour masks are built only by the subset tables and,
 for the vertices it searches, by the search. Families leave as frozensets
 in one canonical order, by size and then by ascending index tuple; the
-tuples are joined from graph_core's per-byte tables, built once at import.
+tuples come from graph_core.index_tuples, the conversion set_of makes too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress, count
-from operator import getitem, index
+from itertools import compress, count
+from operator import index
 
 from .errors import (InternalError, InvalidVertexError, TooLargeForBruteForce,
                      TooLargeForEnumeration)
-from .graph_core import (_INDEX_TABLES, Graph, _index_table, bits_of, closed_flags, flags_of,
-                         induced_subgraph, leaf_peel, mask_of, mask_of_flags, set_of)
+from .graph_core import (Graph, bits_of, closed_flags, flags_of, index_tuples, induced_subgraph,
+                         leaf_peel, mask_of, mask_of_flags, set_of)
 
 DEFAULT_BRUTE_FORCE_CAP = 24
 DEFAULT_ENUMERATION_CAP = 20
@@ -52,22 +52,6 @@ class PsiFamily:
 
     graph: Graph
     members: tuple  # tuple[frozenset], ascending size then lexicographic
-
-
-def index_tuples(masks) -> list:
-    """The ascending index tuple of every vertex mask in ``masks`` (any
-    iterable; order and duplicates kept), joined byte by byte from the
-    per-byte tables graph_core.set_of reads too. Masks wider than the
-    prebuilt tables take further tables, built for the call."""
-    masks = list(masks)
-    top = max(masks, default=0).bit_length()
-    if top <= 24:
-        t0, t1, t2 = _INDEX_TABLES
-        return [t0[m & 255] + t1[m >> 8 & 255] + t2[m >> 16] for m in masks]
-    tables = _INDEX_TABLES + tuple(_index_table(8 * k) for k in range(3, (top + 7) // 8))
-    width = len(tables)
-    return [tuple(chain.from_iterable(map(getitem, tables, m.to_bytes(width, "little"))))
-            for m in masks]
 
 
 def canonical_sets(masks) -> list:

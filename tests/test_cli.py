@@ -427,15 +427,16 @@ class TestStartup:
                                 ["cli", "cli_io", "errors", "graph_core", *added.split()])
 
     def test_every_public_name_resolves_to_its_home_object(self):
-        names, homes, listed = fresh_python("""
-import json, lmss
+        names, homes, listed, loaded = fresh_python("""
+import json, sys, lmss
 listed = dir(lmss)  # before any name has loaded
+loaded = sorted(m for m in sys.modules if m.startswith("lmss."))
 homes = {}
 for name in lmss.__all__:
     obj = getattr(lmss, name)
     home = "graph_core" if name == "VertexSet" else obj.__module__.removeprefix("lmss.")
     homes[name] = getattr(getattr(lmss, home), name) is obj and home
-print(json.dumps([lmss.__all__, homes, listed]))
+print(json.dumps([lmss.__all__, homes, listed, loaded]))
 """)
         assert names == lmss.__all__ == sorted(lmss.__all__) and len(names) == 62
         assert all(homes.values()) and set(homes.values()) == set(SUBMODULES)
@@ -443,6 +444,10 @@ print(json.dumps([lmss.__all__, homes, listed]))
         assert listed == sorted({*names, *SUBMODULES, "__all__", "__builtins__", "__cached__",
                                  "__doc__", "__file__", "__loader__", "__name__",
                                  "__package__", "__path__", "__spec__", "__version__"})
+        assert loaded == []  # listing loads no submodule
+        # here, with modules loaded, dir still lists every name and hides the hooks
+        here = set(dir(lmss))
+        assert {*names, *SUBMODULES} <= here and not {"__getattr__", "__dir__"} & here
 
     def test_star_import_binds_every_name(self):
         bound = fresh_python("""
@@ -590,6 +595,10 @@ class TestSubprocessContract:
         # 20 disjoint edges, then a 5-cycle: the search takes the lower end of
         # each edge without branching, so alpha answers at once
         (45, 20, 5, ["alpha", "--cap", "50"], None, 10, {"alpha": 22}),
+        # the same graph at the default cap: nt-extend checks --s2 by its
+        # membership, whose search covers only the 5-cycle the peel leaves
+        (45, 20, 5, ["nt-extend", "--s1", "x0", "--s2",
+                     ",".join(f"x{i}" for i in range(0, 43, 2))], None, 10, {"alpha": 22}),
         # 4 disjoint edges beside 12 isolated vertices, 3^4 * 2^12 members:
         # verified component by component, not by the whole-family scan
         (20, 4, 0, ["verify-greedoid"], None, 10, {"family_size": 331776}),
@@ -598,7 +607,8 @@ class TestSubprocessContract:
         # passes of the per-component member filter
         (20, 10, 0, ["verify-greedoid"], None, 10,
          {"family_size": 59049, "accessibility_ok": True, "exchange_ok": True})],
-        ids=["triangle alpha", "triangle psi", "5-cycle alpha", "4 edges", "10 edges"])
+        ids=["triangle alpha", "triangle psi", "5-cycle alpha", "5-cycle nt-extend", "4 edges",
+             "10 edges"])
     def test_disjoint_edges_and_a_cycle(self, n, k, c, argv, env_extra, timeout, expect):
         # k disjoint edges, then a c-cycle, then isolated vertices up to n
         vs = [f"x{i}" for i in range(n)]

@@ -26,15 +26,20 @@ from lmss import (
     verify_greedoid,
     verify_konig_egervary,
 )
-from lmss.cli_io import to_jsonable
+from lmss import cli
+from lmss.cli_io import labels_of, to_jsonable
+from lmss.graph_core import set_of
 from conftest import fresh_python, labels_to_set
 
 
 @st.composite
 def labeled_graphs(draw, max_n=8):
     """A graph on mostly token-like labels, one of them sometimes arbitrary
-    text, or None when Graph refuses the labels."""
-    any_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=4)
+    text, often with a character the text format or the CLI's vertex sets
+    reserve, or None when Graph refuses the labels."""
+    reserved = st.sampled_from(" #,")
+    any_text = st.text(st.one_of(reserved, st.characters(blacklist_categories=("Cs",))),
+                       max_size=4)
     tokens = st.text(st.characters(blacklist_categories=("Cs",),
                                    blacklist_characters="# \t\n"), min_size=1, max_size=4)
     labels = draw(st.lists(tokens, max_size=max_n, unique=True))
@@ -156,6 +161,10 @@ class TestParseGraph:
         ("p 2 0\nv\ta\tb\n", GraphSyntaxError, 2, "expected 'v <label>'"),
         ("p 2 0\nv a\u00a0b\n", GraphSyntaxError, 2, "expected 'v <label>'"),
         ("p\u30002 0\nv a\nv\u2003a\n", GraphSyntaxError, 3, "duplicate vertex label 'a'"),
+        ("p 2 0\nv x,y\nv b\n", GraphSyntaxError, 2, "vertex label 'x,y' holds ','"),
+        ("# a comment\n\np 3 0\nv a\nv b\n", GraphSyntaxError, 3,
+         "declared 3 vertices but found 2"),
+        ("# a comment\np 2 1\nv a\nv b\n", GraphSyntaxError, 2, "declared 1 edges but found 0"),
     ], ids=["negative count", "vertex after edges", "one-label edge",
             "edge lines past the count", "vertex lines short of the count",
             "edge before header", "non-integer count", "vertex with two labels",
@@ -163,7 +172,8 @@ class TestParseGraph:
             "unknown first end", "unknown second end", "both ends unknown", "self-loop",
             "second header", "no header", "edge lines short of the count",
             "trailing comment cuts an edge", "comment inside a label", "tab separators",
-            "no-break space separator", "ideographic and em space separators"])
+            "no-break space separator", "ideographic and em space separators",
+            "comma in a label", "vertex count after a comment", "edge count after a comment"])
     def test_refusals_name_their_line(self, text, error, line, message):
         with pytest.raises(error, match=f"^line {line}: {re.escape(message)}$") as exc:
             parse_graph(text)
@@ -192,6 +202,14 @@ class TestRoundTrip:
         # whatever Graph accepts must serialise to text that parses back
         if g is not None:
             assert parse_graph(emit(g, "text")).graph == g
+
+    @given(labeled_graphs())
+    def test_every_vertex_set_reads_back(self, g):
+        # every set the CLI writes as comma-separated labels, its --set reads back
+        if g is not None:
+            for m in range(1 << g.vertex_count):
+                s = set_of(m)
+                assert cli._parse_set(g, ",".join(labels_of(g, s))) == s
 
     @pytest.mark.parametrize("key, value", [
         ("note", "a\nb"), ("note", "a\r"), ("no\x85te", "x"), ("note", "a\u2028b"),

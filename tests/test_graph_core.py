@@ -97,7 +97,9 @@ class TestGraphConstruction:
         with pytest.raises(ValueError):
             Graph(["a", "a"])
 
-    @pytest.mark.parametrize("label", ["", "a b", "a\tb", "a\nb", "\u00a0", "a#b", "#"])
+    # a comma too: the CLI names a vertex set by comma-separated labels
+    @pytest.mark.parametrize("label", ["", "a b", "a\tb", "a\nb", "\u00a0", "a#b", "#", "x,y",
+                                       ","])
     def test_rejects_labels_the_text_format_cannot_hold(self, label):
         with pytest.raises(ValueError, match="empty or holds whitespace"):
             Graph(["ok", label])
@@ -124,6 +126,9 @@ class TestGraphConstruction:
         a = Graph(["a", "b"], [(0, 1)])
         b = Graph(["a", "b"], [(1, 0)])
         assert a == b and hash(a) == hash(b)
+        # a non-graph is left to its own comparison, so equal parts do not make it equal
+        assert not a == (a.labels, a.edges) and a != (a.labels, a.edges)
+        assert Graph.__eq__(a, 3) is NotImplemented
 
 
 def index_answers(g: Graph, t) -> tuple:

@@ -24,6 +24,7 @@ from lmss import (
     SizeMismatchError,
     SplitMix64,
     SubsetOracle,
+    TooLargeForBruteForce,
     chain_decompose,
     chain_is_valid,
     enumerate_labeled_trees,
@@ -143,6 +144,23 @@ class TestNtExtend:
     def test_bad_s2(self, fig1):
         with pytest.raises(NotMaximumError):
             nt_extend(fig1, labels_to_set(fig1, "a"), labels_to_set(fig1, "a", "c"))
+
+    def test_searches_only_the_core_past_the_cap(self):
+        # s2 is checked as a member whose N[S] is every vertex, with no
+        # whole-graph alpha: a path of 40 with a chord peels to nothing and
+        # answers; on 10 disjoint triangles a non-maximal s2 is refused before
+        # any search, and a maximum one only by the search of the 30-vertex core
+        chorded = Graph([f"v{i}" for i in range(40)], [(i, i + 1) for i in range(39)] + [(0, 2)])
+        assert nt_extend(chorded, {1}, set(range(1, 40, 2))) == set(range(1, 40, 2))
+        with pytest.raises(NotMaximumError):
+            nt_extend(chorded, {1}, {1})
+        triangles = Graph([f"t{i}" for i in range(30)], [(3 * k + i, 3 * k + j) for k in range(10)
+                                                         for i, j in ((0, 1), (1, 2), (0, 2))])
+        for s2 in ({0}, {0, 1}):
+            with pytest.raises(NotMaximumError):
+                nt_extend(triangles, set(), s2)
+        with pytest.raises(TooLargeForBruteForce, match="30 vertices"):
+            nt_extend(triangles, set(), set(range(0, 30, 3)))
 
     def test_totality_on_random_graphs(self):
         rng = SplitMix64(19)
