@@ -153,7 +153,7 @@ def parse_graph(text) -> GraphDocument:
         raise GraphSyntaxError(header, f"declared {m} edges but found {edge_lines}")
     # every label is a token (no whitespace, '#' or ',') and distinct, and every
     # edge is normalised, distinct and loop-free: Graph's checks would all pass
-    return GraphDocument(graph=Graph._trusted(tuple(labels), index, edges), source="file",
+    return GraphDocument(graph=Graph._trusted(tuple(labels), edges), source="file",
                          metadata={"format_version": FORMAT_VERSION})
 
 

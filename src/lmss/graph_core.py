@@ -19,11 +19,13 @@ subset tables, one neighbor mask per vertex of a small graph, and by the
 exhaustive search, one per vertex it searches.
 
 Graph() validates its labels and edges, then hands them to one private
-builder, which sorts the edges and makes the neighbor tuples. Two callers
-whose parts are already valid call the builder directly through
-Graph._trusted: the text parser, which checks each label and edge as it
-reads it, and the perfect embedding, which grows its host from a graph's
-own tuples, labels and index.
+builder, which takes the labels, the edges and optionally the neighbor
+tuples, sorts the edges and makes any tuples not given. Three callers whose
+parts are already valid call the builder directly through Graph._trusted:
+the text parser, which checks each label and edge as it reads it, the
+perfect embedding, which grows its host from a graph's own labels and
+tuples, and induced_subgraph, which keeps a subset of a graph's labels and
+edges. No builder keeps a label index: index_of derives it on first use.
 """
 
 from __future__ import annotations
@@ -103,13 +105,14 @@ def _digits_as_flags(mask: int) -> bytes:
 
 
 # the flags of every mask below 2^8, unpadded; built once at import
-_BYTE_FLAGS = tuple(map(_digits_as_flags, range(256)))
+_BYTE_FLAGS = (b"", *map(_digits_as_flags, range(1, 256)))
 
 
 def flags_of(mask: int, n: int) -> bytearray:
     """The vertex set ``mask`` as one byte per vertex (1 = member), padded
-    with zeros to at least n bytes: read from _BYTE_FLAGS below 2^8, else
-    in a few linear passes over its binary digits."""
+    with zeros to max(n, mask.bit_length()) bytes, so the empty set on no
+    vertices has no flag: read from _BYTE_FLAGS below 2^8, else in a few
+    linear passes over its binary digits."""
     return bytearray((_digits_as_flags(mask) if mask >> 8 else _BYTE_FLAGS[mask]).ljust(n, b"\0"))
 
 
@@ -236,7 +239,7 @@ class Graph:
     filtering are realized by constructing new graphs.
     """
 
-    __slots__ = ("labels", "edges", "vertex_count", "_index", "_nbrs", "_memo")
+    __slots__ = ("labels", "edges", "vertex_count", "_nbrs", "_memo")
 
     def __init__(self, labels: Sequence[str], edges: Iterable[tuple[int, int]] = ()):
         labels = tuple(labels)
@@ -249,11 +252,10 @@ class Graph:
             bad = next(lbl for lbl in labels if not lbl or _LABEL_BREAK.search(lbl))
             raise ValueError(f"vertex label {bad!r} is empty or holds whitespace, '#' or ','")
         n = len(labels)
-        positions = {}
-        for i, lbl in enumerate(labels):
-            if lbl in positions:
-                raise ValueError(f"duplicate vertex label {lbl!r}")
-            positions[lbl] = i
+        if len(set(labels)) < n:
+            seen = set()  # seen.add answers None: only a label seen before is picked
+            bad = next(lbl for lbl in labels if lbl in seen or seen.add(lbl))
+            raise ValueError(f"duplicate vertex label {bad!r}")
         norm = []
         for u, v in edges:
             try:  # numpy integers become ints; floats, strings and None are refused
@@ -265,22 +267,22 @@ class Graph:
             if u == v:
                 raise SelfLoopError(f"self-loop at vertex {labels[u]!r}")
             norm.append((u, v) if u < v else (v, u))
-        self._build(labels, positions, norm)
+        self._build(labels, norm)
 
     @classmethod
-    def _trusted(cls, labels: tuple, index: dict, edges: list, nbrs=None) -> "Graph":
+    def _trusted(cls, labels: tuple, edges: list, nbrs=None) -> "Graph":
         """A graph from parts its caller has already checked, without
         __init__'s validation: see _build for what each part must be."""
         g = cls.__new__(cls)
-        g._build(labels, index, edges, nbrs)
+        g._build(labels, edges, nbrs)
         return g
 
-    def _build(self, labels: tuple, index: dict, edges: list, nbrs=None) -> None:
+    def _build(self, labels: tuple, edges: list, nbrs=None) -> None:
         """Fill in the graph from checked parts: ``labels`` a tuple of valid,
-        distinct labels, ``index`` each label's position, ``edges`` a list of
-        (u, v) with 0 <= u < v < n in any order, parallel ones allowed (the
-        list is sorted in place). ``nbrs``, when given, holds the ascending
-        neighbor tuples of the collapsed edges; otherwise they are built here."""
+        distinct labels, ``edges`` a list of (u, v) with 0 <= u < v < n in any
+        order, parallel ones allowed (the list is sorted in place). ``nbrs``,
+        when given, holds the ascending neighbor tuples of the collapsed
+        edges; otherwise they are built here."""
         edges.sort()  # parallel edges become neighbors and collapse
         if any(map(eq, edges, islice(edges, 1, None))):
             edges = [e for e, _ in groupby(edges)]
@@ -297,19 +299,15 @@ class Graph:
                 nbrs[v] = tuple(nbrs[v])
         self.labels = labels
         self.vertex_count = n
-        self._index = index
         self._nbrs = tuple(nbrs)
         self._memo = {}
 
     @classmethod
     def from_label_pairs(cls, labels: Sequence[str], pairs: Iterable[tuple[str, str]]) -> "Graph":
-        """Build a graph from edges given as label pairs."""
-        index = {lbl: i for i, lbl in enumerate(labels)}
-        try:
-            edges = [(index[a], index[b]) for a, b in pairs]
-        except KeyError as exc:
-            raise InvalidVertexError(f"unknown label {exc.args[0]!r}") from None
-        return cls(labels, edges)
+        """Build a graph from edges given as label pairs, each label read
+        through index_of on the edgeless graph of ``labels``."""
+        g = cls(labels)
+        return cls(g.labels, [(g.index_of(a), g.index_of(b)) for a, b in pairs])
 
     # -- basic queries ---------------------------------------------------
 
@@ -318,8 +316,11 @@ class Graph:
         return len(self.edges)
 
     def index_of(self, label: str) -> int:
+        """The index of the vertex labelled ``label``, read from the label
+        index, which is derived from ``labels`` on the first call (see
+        _derive); an unknown label is refused."""
         try:
-            return self._index[label]
+            return self._derive("index", _label_positions)[label]
         except KeyError:
             raise InvalidVertexError(f"unknown label {label!r}") from None
 
@@ -381,9 +382,9 @@ class Graph:
     def _derive(self, key: str, compute):
         """The fact ``key`` of this graph: ``compute(self)`` on first use, then
         the same object for every later reader. A graph's derived facts, its
-        forest test and peel here and what other modules derive from it, are
-        computed once, shared, never to be modified, and freed with the
-        graph: they hold no reference back to it."""
+        label index, forest test and peel here and what other modules derive
+        from it, are computed once, shared, never to be modified, and freed
+        with the graph: they hold no reference back to it."""
         memo = self._memo
         return memo[key] if key in memo else memo.setdefault(key, compute(self))
 
@@ -410,6 +411,10 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.vertex_count}, m={self.edge_count})"
+
+
+def _label_positions(g: Graph) -> dict:
+    return dict(zip(g.labels, range(g.vertex_count)))
 
 
 def _acyclic(g: Graph) -> bool:
@@ -444,10 +449,10 @@ def induced_subgraph(g: Graph, a: Iterable[int]) -> Graph:
     re-packed in increasing original-index order."""
     keep = sorted(g.check_vertices(a))
     remap = {old: new for new, old in enumerate(keep)}
-    labels = [g.labels[v] for v in keep]
+    labels = tuple(g.labels[v] for v in keep)
     edges = [(remap[old], remap[w]) for old in keep for w in g._nbrs[old]
              if w > old and w in remap]
-    return Graph(labels, edges)
+    return Graph._trusted(labels, edges)  # g's distinct labels, re-packed edges u < v
 
 
 def pendant_vertices(g: Graph) -> frozenset:

@@ -7,11 +7,12 @@ order and the matching number grew by the same amount. Using the forest's
 internal-cover matching instead makes every new edge land on a pendant or
 isolated vertex of the original forest.
 
-The host is grown from the forest's own parts: its labels, index and
-neighbor tuples, grown by graph_core.fresh_partners (the one place where
+The host is grown from the forest's own parts: its labels and neighbor
+tuples, grown by graph_core.fresh_partners (the one place where
 neighbor lists grow, here and in the constructive chain), and its sorted
 edges merged with the added ones. Only the fresh labels are new, and they are
-checked for freshness as they are made.
+checked for freshness as they are made, against a set of the labels taken;
+the host is handed no label index, and the forest's own is never derived.
 
 The host is checked from the certificate it was built from, in O(n + k) for k
 added edges, with no walk or peel of its own: the matching plus the added
@@ -40,16 +41,16 @@ class Embedding:
     added_edges: tuple  # tuple[(original index, new index)] in host indices
 
 
-def _fresh_label(base: str, index: dict) -> str:
-    """The first of base_w, base_w2, base_w3, ... not in ``index``, entered
-    there at the next position. A suffix of '_w' and digits keeps a valid
-    label valid, so freshness is the one check a fresh label needs."""
+def _fresh_label(base: str, taken: set) -> str:
+    """The first of base_w, base_w2, base_w3, ... not in ``taken``, added
+    there. A suffix of '_w' and digits keeps a valid label valid, so
+    freshness is the one check a fresh label needs."""
     cand = f"{base}_w"
     k = 2
-    while cand in index:
+    while cand in taken:
         cand = f"{base}_w{k}"
         k += 1
-    index[cand] = len(index)
+    taken.add(cand)
     return cand
 
 
@@ -77,11 +78,11 @@ def embed_perfect(g: Graph, mode: str = "any") -> Embedding:
     host = g
     if added:  # g's parts, grown
         labels = list(g.labels)
-        index = dict(g._index)
+        taken = set(labels)
         for v, _ in added:
-            labels.append(_fresh_label(labels[v], index))
+            labels.append(_fresh_label(labels[v], taken))
         # g.edges and added are two sorted runs, which one timsort merges
-        host = Graph._trusted(tuple(labels), index, [*g.edges, *added], nbrs)
+        host = Graph._trusted(tuple(labels), [*g.edges, *added], nbrs)
     # pairs + added cover each host vertex once, by host edges (the cover is
     # tested first, so the adjacency scans sum to O(m)); each fresh vertex is a leaf
     nbrs = host._nbrs

@@ -606,9 +606,13 @@ class TestSubprocessContract:
         # graph with the most components of two or more vertices, so the most
         # passes of the per-component member filter
         (20, 10, 0, ["verify-greedoid"], None, 10,
-         {"family_size": 59049, "accessibility_ok": True, "exchange_ok": True})],
+         {"family_size": 59049, "accessibility_ok": True, "exchange_ok": True}),
+        # no vertex at all: the empty set is the one maximum stable set, and ','
+        # names it
+        (0, 0, 0, ["nt-extend", "--s1", ",", "--s2", ","], None, 10,
+         {"alpha": 0, "result": []})],
         ids=["triangle alpha", "triangle psi", "5-cycle alpha", "5-cycle nt-extend", "4 edges",
-             "10 edges"])
+             "10 edges", "empty nt-extend"])
     def test_disjoint_edges_and_a_cycle(self, n, k, c, argv, env_extra, timeout, expect):
         # k disjoint edges, then a c-cycle, then isolated vertices up to n
         vs = [f"x{i}" for i in range(n)]
@@ -617,8 +621,10 @@ class TestSubprocessContract:
         text = "\n".join([f"p {n} {len(es)}", *(f"v {v}" for v in vs),
                           *(f"e {vs[a]} {vs[b]}" for a, b in es)]) + "\n"
         res = self._run([argv[0], "-", *argv[1:], "--format", "json"], text, env_extra, timeout)
+        # exit code and stderr first, so a refused row shows why, not a JSON error
+        assert (res.returncode, res.stderr) == (0, ""), (res.returncode, res.stderr)
         r = json.loads(res.stdout)
-        assert (res.returncode, res.stderr) == (0, "") and {x: r[x] for x in expect} == expect, r
+        assert {x: r[x] for x in expect} == expect, r
 
     def test_cycle_fails_accessibility_alike_beside_isolated_vertices(self):
         # C8 fails accessibility; beside two isolated vertices its part fails

@@ -15,6 +15,7 @@ from lmss import (
     decompose,
     embed_perfect,
     emit,
+    enumerate_labeled_trees,
     exchange_witness,
     generate,
     induced_subgraph,
@@ -96,6 +97,8 @@ class TestGraphConstruction:
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValueError):
             Graph(["a", "a"])
+        with pytest.raises(ValueError, match=r"^duplicate vertex label 'b'$"):  # the first repeat
+            Graph(["a", "b", "c", "b", "a"])
 
     # a comma too: the CLI names a vertex set by comma-separated labels
     @pytest.mark.parametrize("label", ["", "a b", "a\tb", "a\nb", "\u00a0", "a#b", "#", "x,y",
@@ -115,7 +118,7 @@ class TestGraphConstruction:
     def test_from_label_pairs(self):
         g = Graph.from_label_pairs(["x", "y"], [("x", "y")])
         assert g.edges == ((0, 1),)
-        with pytest.raises(InvalidVertexError):
+        with pytest.raises(InvalidVertexError, match=r"^unknown label 'z'$"):
             Graph.from_label_pairs(["x"], [("x", "z")])
 
     def test_order_zero_and_one_accepted(self):
@@ -373,7 +376,8 @@ def test_closed_flags_refuse_an_edge_inside_the_set(g, data):
 def assert_same_graph(got: Graph, want: Graph) -> None:
     """Equal in every field a build fills in, and in what is derived from them."""
     assert got.labels == want.labels and got.edges == want.edges
-    assert got._nbrs == want._nbrs and got._index == want._index
+    assert got._nbrs == want._nbrs
+    assert [got.index_of(lbl) for lbl in want.labels] == list(range(want.vertex_count))
     assert got.vertex_count == want.vertex_count and hash(got) == hash(want)
     assert got.is_forest == want.is_forest and got.peel == want.peel
 
@@ -416,8 +420,34 @@ def test_embedding_host_corner_cases():
         assert host.index_of("a_w2") == 4 and host.index_of("x_w") == 5
 
 
+def test_label_index_is_derived_on_first_lookup_only():
+    # no builder hands a graph a label index: the first index_of derives it
+    # from the labels, every later call reads that same dict, and embedding
+    # a forest never derives the forest's
+    forest = generate(FamilySpec("random_forest", n=12, seed=3, delete_prob=0.3))
+    g = Graph(["a", "a_w", "b", "x"], [(1, 2)])
+    built = [Graph([]), g, forest, parse_graph(emit(forest)).graph, generate(FamilySpec("fig1")),
+             Graph.from_label_pairs(["x", "y"], [("y", "x")]),
+             induced_subgraph(forest, range(0, 12, 2)), next(enumerate_labeled_trees(5))]
+    for src in (g, forest):
+        for mode in ("any", "pendant_only"):
+            host = embed_perfect(src, mode).host
+            assert host is not src and "index" not in src._memo
+            built.append(host)
+    for h in built:
+        assert "index" not in h._memo
+        with pytest.raises(InvalidVertexError, match=r"^unknown label 'nope'$"):
+            h.index_of("nope")
+        index = h._memo["index"]
+        assert index == dict(zip(h.labels, range(h.vertex_count)))
+        assert [h.index_of(lbl) for lbl in h.labels] == list(range(h.vertex_count))
+        assert h._memo["index"] is index
+    g._memo["index"] = {"probe": 7}  # a later call reads the memo, not the labels
+    assert g.index_of("probe") == 7
+
+
 def test_forest_routines_hold_a_long_path_in_linear_memory():
-    # labels, edges, index and neighbor lists take about 400 bytes per vertex;
+    # labels, edges and neighbor lists take about 370 bytes per vertex;
     # one neighbor bitmask per vertex would add n/16 bytes per vertex (n^2/2
     # bits, 1 250 bytes per vertex and 25 MB at this size), so 1 KiB per
     # vertex lies between the two
@@ -455,10 +485,10 @@ def test_set_of_reads_every_narrow_mask():
 
 
 def test_flags_of_pads_to_n_on_both_sides_of_its_byte_table():
-    # one byte per digit of the mask (one for 0), padded with zeros to n
+    # one byte per digit of the mask (none for 0), padded with zeros to n
     for mask in [*range(600), 2**24 - 1, 2**24 + 1]:
         for n in (0, 1, 7, 8, 9, 12, 30):
             flags = flags_of(mask, n)
             assert type(flags) is bytearray
-            assert len(flags) == max(n, mask.bit_length(), 1)
+            assert len(flags) == max(n, mask.bit_length())
             assert set(flags) <= {0, 1} and mask_of_flags(flags) == mask

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from lmss import greedoid_engine, stable_core
 from lmss.graph_core import mask_of, set_of
 from lmss.greedoid_engine import PrefixChain
-from lmss.stable_core import canonical_sets
+from lmss.stable_core import canonical_sets, enumerate_omega
 from lmss import (
     AccessibilityFailure,
     ChainCertificate,
@@ -144,6 +144,14 @@ class TestNtExtend:
     def test_bad_s2(self, fig1):
         with pytest.raises(NotMaximumError):
             nt_extend(fig1, labels_to_set(fig1, "a"), labels_to_set(fig1, "a", "c"))
+
+    def test_empty_graph_extends_the_empty_set(self):
+        # on no vertices the empty set is the one maximum stable set, and N[{}]
+        # covers every vertex: both routes answer it
+        g = Graph([])
+        assert enumerate_omega(g) == [frozenset()]
+        for oracle in (None, SubsetOracle(g)):
+            assert nt_extend(g, set(), set(), oracle) == frozenset()
 
     def test_searches_only_the_core_past_the_cap(self):
         # s2 is checked as a member whose N[S] is every vertex, with no
