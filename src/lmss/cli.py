@@ -25,15 +25,15 @@ _lmss = sys.modules[__package__]  # the package: its names load their modules on
 
 def _read_document(path: str) -> GraphDocument:
     """Read the graph's bytes from ``path`` (``-`` is stdin); parse_graph
-    alone decodes them, so both routes answer the same bytes alike."""
-    if path == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        with open(path, "rb") as f:
-            data = f.read()
+    alone decodes them, so both routes answer the same bytes alike. The
+    bytes go straight into parse_graph, so once decoded they are freed."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        doc = parse_graph(data)
+        if path == "-":
+            doc = parse_graph(sys.stdin.buffer.read())
+        else:
+            with open(path, "rb") as f:
+                doc = parse_graph(f.read())
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     return doc

@@ -18,8 +18,9 @@ strings with the C encoder's encode_basestring. A value it does not write
 itself goes to json.dumps whole, so every value gives json.dumps's text or
 its exception.
 
-The parser checks labels and edges as it reads them, and builds its graph
-without Graph's own validation, which would repeat those checks.
+The parser checks labels and edges as it reads them, keeping one dict per
+fact (label -> index, and the edges as keys), and builds its graph without
+Graph's own validation, which would repeat those checks.
 
 This module imports no module that defines a result record: it reads each
 record's home module from the package's name table (lmss._HOME) and finds
@@ -77,16 +78,23 @@ def parse_graph(text) -> GraphDocument:
     Duplicate edges collapse with a DuplicateEdgeWarning; self-loops and
     references to undeclared labels are errors carrying the line number,
     and counts the lines fall short of name the header's line.
-    ``text`` is a str or UTF-8 bytes; one leading byte-order mark is dropped.
+    ``text`` is a str or UTF-8 bytes; one leading byte-order mark is dropped,
+    and a str that UTF-8 cannot carry (a lone surrogate) is refused as
+    bytes that are not UTF-8 are.
+
+    One dict holds each fact as it is read: ``index`` maps each label to its
+    position, so its keys in order are the label tuple, and ``edges`` has
+    each normalised edge as a key, so its keys are the edge list and ``in``
+    finds a repeated edge.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
+    elif not text.isascii():
+        text.encode("utf-8")  # raises UnicodeEncodeError, a ValueError, on a lone surrogate
     text = text.removeprefix("\ufeff")  # as decoding with utf-8-sig would
     header = None
-    labels: list[str] = []
     index: dict[str, int] = {}
-    edges: list[tuple[int, int]] = []
-    seen_edges = set()
+    edges: dict[tuple[int, int], None] = {}
     n = m = edge_lines = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         if "#" in line:
@@ -98,7 +106,7 @@ def parse_graph(text) -> GraphDocument:
         if kind == "e" and header is not None:  # edge lines are most lines: tested first
             if len(fields) != 3:
                 raise GraphSyntaxError(lineno, "expected 'e <label> <label>'")
-            if len(labels) != n:
+            if len(index) != n:
                 raise GraphSyntaxError(lineno, "edge line before all vertices are declared")
             if edge_lines >= m:
                 raise GraphSyntaxError(lineno, f"more than {m} edge lines")
@@ -113,12 +121,11 @@ def parse_graph(text) -> GraphDocument:
             if u == v:  # labels and indices correspond one to one
                 raise SelfLoopError(f"line {lineno}: self-loop at {a!r}")
             e = (u, v) if u < v else (v, u)
-            if e in seen_edges:
+            if e in edges:
                 warnings.warn(DuplicateEdgeWarning(
                     f"line {lineno}: duplicate edge {a} {b} collapsed"))
                 continue
-            seen_edges.add(e)
-            edges.append(e)
+            edges[e] = None
         elif header is None:
             if kind != "p" or len(fields) != 3:
                 raise GraphSyntaxError(lineno, "expected header 'p <n> <m>'")
@@ -134,26 +141,25 @@ def parse_graph(text) -> GraphDocument:
                 raise GraphSyntaxError(lineno, "expected 'v <label>'")
             if edge_lines:
                 raise GraphSyntaxError(lineno, "vertex line after edge lines")
-            if len(labels) >= n:
+            if len(index) >= n:
                 raise GraphSyntaxError(lineno, f"more than {n} vertex lines")
             lbl = fields[1]
             if lbl in index:
                 raise GraphSyntaxError(lineno, f"duplicate vertex label {lbl!r}")
             if "," in lbl:  # a vertex set on the command line separates labels by ','
                 raise GraphSyntaxError(lineno, f"vertex label {lbl!r} holds ','")
-            index[lbl] = len(labels)
-            labels.append(lbl)
+            index[lbl] = len(index)
         else:
             raise GraphSyntaxError(lineno, f"unknown line type {kind!r}")
     if header is None:
         raise GraphSyntaxError(1, "empty input: missing 'p <n> <m>' header")
-    if len(labels) != n:
-        raise GraphSyntaxError(header, f"declared {n} vertices but found {len(labels)}")
+    if len(index) != n:
+        raise GraphSyntaxError(header, f"declared {n} vertices but found {len(index)}")
     if edge_lines != m:
         raise GraphSyntaxError(header, f"declared {m} edges but found {edge_lines}")
-    # every label is a token (no whitespace, '#' or ',') and distinct, and every
+    # every label is a UTF-8 token (no whitespace, '#' or ',') and distinct, and every
     # edge is normalised, distinct and loop-free: Graph's checks would all pass
-    return GraphDocument(graph=Graph._trusted(tuple(labels), edges), source="file",
+    return GraphDocument(graph=Graph._trusted(tuple(index), list(edges)), source="file",
                          metadata={"format_version": FORMAT_VERSION})
 
 

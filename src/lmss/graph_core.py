@@ -2,9 +2,10 @@
 
 Vertices are dense indices 0..n-1; every vertex carries a distinct string
 label so example graphs and test fixtures stay readable in I/O. A label is a
-non-empty token without whitespace, '#' or ',', so every graph written in
-the text format parses back, and so does every vertex set the CLI writes
-as comma-separated labels; Graph refuses any other label.
+non-empty token without whitespace, '#', ',' or a lone surrogate (which
+UTF-8 cannot carry), so every graph written in the text format encodes and
+parses back, and so does every vertex set the CLI writes as comma-separated
+labels; Graph refuses any other label.
 
 Adjacency is kept as one ascending tuple of neighbors per vertex, and one
 rule holds across the package: neighbor lists for traversal, bitmasks only
@@ -18,14 +19,17 @@ engine calls a kernel, and for the subsets enumerated or searched: by the
 subset tables, one neighbor mask per vertex of a small graph, and by the
 exhaustive search, one per vertex it searches.
 
-Graph() validates its labels and edges, then hands them to one private
-builder, which takes the labels, the edges and optionally the neighbor
-tuples, sorts the edges and makes any tuples not given. Three callers whose
-parts are already valid call the builder directly through Graph._trusted:
-the text parser, which checks each label and edge as it reads it, the
-perfect embedding, which grows its host from a graph's own labels and
-tuples, and induced_subgraph, which keeps a subset of a graph's labels and
-edges. No builder keeps a label index: index_of derives it on first use.
+Graph() validates parts that come from outside lmss, then hands them to
+one private builder, which takes the labels, the edges and optionally the
+neighbor tuples, sorts the edges and makes any tuples not given. Five
+callers whose parts are already valid call the builder directly through
+Graph._trusted, so each part is checked once: the text parser, which checks
+each label and edge as it reads it; the random tree and forest generator
+and the labeled-tree enumeration, which make the labels v1..vn and
+normalised Prufer tree edges; the perfect embedding, which grows its host
+from a graph's own labels and tuples; and induced_subgraph, which keeps a
+subset of a graph's labels and edges. index_of derives the label index on
+first use.
 """
 
 from __future__ import annotations
@@ -43,6 +47,17 @@ from .errors import InvalidVertexError, SelfLoopError
 VertexSet = frozenset  # subset of vertex indices of a specific Graph
 
 _LABEL_BREAK = re.compile(r"[\s#,]")
+
+
+def _holds_break(s: str) -> bool:
+    """Whether ``s`` holds whitespace, '#', ',' or a lone surrogate (U+D800
+    to U+DFFF), which UTF-8 cannot carry. Only a non-ASCII ``s`` is encoded
+    to find one: a regex class of the surrogates would cost every import
+    about a millisecond to compile."""
+    try:
+        return bool(_LABEL_BREAK.search(s)) or not (s.isascii() or s.encode("utf-8"))
+    except UnicodeEncodeError:
+        return True
 
 
 def bits_of(mask: int) -> Iterator[int]:
@@ -248,9 +263,10 @@ class Graph:
         except TypeError:
             bad = next(lbl for lbl in labels if not isinstance(lbl, str))
             raise ValueError(f"vertex label {bad!r} is not a string") from None
-        if "" in labels or _LABEL_BREAK.search(joined):
-            bad = next(lbl for lbl in labels if not lbl or _LABEL_BREAK.search(lbl))
-            raise ValueError(f"vertex label {bad!r} is empty or holds whitespace, '#' or ','")
+        if "" in labels or _holds_break(joined):
+            bad = next(lbl for lbl in labels if not lbl or _holds_break(lbl))
+            raise ValueError(
+                f"vertex label {bad!r} is empty or holds whitespace, '#', ',' or a lone surrogate")
         n = len(labels)
         if len(set(labels)) < n:
             seen = set()  # seen.add answers None: only a label seen before is picked

@@ -10,6 +10,12 @@ labels. Beside it, the _SHAPES table holds each shaped family (path,
 cycle, complete, star, fig7) as its least order and the builder of its
 graph on n vertices. Random families draw from SplitMix64 so that one
 64-bit seed pins the output bit-for-bit.
+
+The random tree and forest and the labeled-tree enumeration make their own
+valid parts, the labels v1..vn and normalised Prufer tree edges, and hand
+them to Graph._trusted, so Graph() does not check them again. The figures
+and the shaped families build through Graph(): the cycle's closing edge
+runs from high to low, and complete passes an iterator.
 """
 
 from __future__ import annotations
@@ -188,13 +194,11 @@ _SHAPES = {  # shaped family -> (least order, builder of its graph on n vertices
 def _random_forest(n: int, seed: int, delete_prob: float) -> Graph:
     """A random tree with each edge (in sorted order) independently deleted;
     the deletion draws continue the tree's SplitMix64 stream."""
-    if n == 1:
-        return Graph(["v1"])
     rng = SplitMix64(seed)
-    seq = [rng.below(n) for _ in range(n - 2)]
-    edges = sorted(prufer_decode(n, seq))
+    edges = sorted(prufer_decode(n, [rng.below(n) for _ in range(n - 2)])) if n > 1 else []
     kept = [e for e in edges if not rng.chance(delete_prob)]
-    return Graph([f"v{i + 1}" for i in range(n)], kept)
+    # distinct token labels v1..vn, and distinct tree edges u < v
+    return Graph._trusted(tuple(map("v{}".format, range(1, n + 1))), kept)
 
 
 def generate(spec: FamilySpec) -> Graph:
@@ -260,4 +264,4 @@ def enumerate_labeled_trees(n: int) -> Iterator[Graph]:
         raise InvalidFamilyParameterError("tree enumeration supports 2 <= n <= 8")
     labels = tuple(f"v{i + 1}" for i in range(n))
     for seq in itertools.product(range(n), repeat=n - 2):
-        yield Graph(labels, prufer_decode(n, seq))
+        yield Graph._trusted(labels, prufer_decode(n, seq))  # token labels, tree edges u < v

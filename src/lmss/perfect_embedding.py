@@ -11,8 +11,7 @@ The host is grown from the forest's own parts: its labels and neighbor
 tuples, grown by graph_core.fresh_partners (the one place where
 neighbor lists grow, here and in the constructive chain), and its sorted
 edges merged with the added ones. Only the fresh labels are new, and they are
-checked for freshness as they are made, against a set of the labels taken;
-the host is handed no label index, and the forest's own is never derived.
+checked for freshness as they are made, against a set of the labels taken.
 
 The host is checked from the certificate it was built from, in O(n + k) for k
 added edges, with no walk or peel of its own: the matching plus the added

@@ -152,7 +152,8 @@ class SubsetOracle:
     same graph object, and enumerate_psi, enumerate_omega and
     verify_greedoid on it, read the one set of tables the graph derives.
     The oracle is a thin view over them; ``cap`` is checked on every
-    construction, before the tables are read.
+    construction, before the tables are read, and tables that do not fit in
+    memory are refused with TooLargeForEnumeration like a graph over the cap.
     """
 
     __slots__ = ("graph", "n", "_alpha", "_flags", "_masks")
@@ -165,7 +166,11 @@ class SubsetOracle:
                 f"{n} vertices exceed the enumeration cap of {cap}")
         self.graph = g
         self.n = n
-        self._alpha, self._flags, self._masks = g._derive("subset_tables", _build_tables)
+        try:  # _derive memoises nothing when the build fails
+            self._alpha, self._flags, self._masks = g._derive("subset_tables", _build_tables)
+        except MemoryError:
+            raise TooLargeForEnumeration(f"the subset tables of {n} vertices (2^{n} entries) "
+                                         "do not fit in memory") from None
 
     def _subset(self, mask) -> int:
         """``mask`` as a table index: one outside [0, 2^n) is refused."""

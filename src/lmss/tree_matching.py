@@ -29,10 +29,10 @@ class Matching:
     @classmethod
     def from_edges(cls, edges) -> "Matching":
         es = tuple(sorted(tuple(sorted(e)) for e in edges))
-        cov = [v for e in es for v in e]
-        if len(cov) != len(set(cov)):
+        covered = frozenset([v for e in es for v in e])
+        if len(covered) != 2 * len(es):  # a shared endpoint or a self-loop
             raise ValueError("edges share an endpoint")
-        return cls(edges=es, covered=frozenset(cov))
+        return cls(edges=es, covered=covered)
 
     def __len__(self) -> int:
         return len(self.edges)

@@ -660,6 +660,14 @@ class TestSubprocessContract:
             assert n == 2 * alpha["alpha"] and len(e["added_edges"]) == n - 100000
         assert not [v for v, _ in e["added_edges"] if deg[v] > 1]  # e: the pendant-only one
 
+    def test_subset_tables_that_do_not_fit_exit_2(self):
+        # 2^32 table entries do not fit in 1 GB of address space: a refused
+        # input (exit 2, one error line), not a crash with a traceback
+        path = self._run(["gen", "--family", "path", "-n", "32"]).stdout
+        res = self._run(["omega", "-", "--cap", "32"], path, timeout=60, preexec_fn=_under_1gb)
+        assert (res.returncode, res.stdout, res.stderr) == (2, "", (
+            "error: the subset tables of 32 vertices (2^32 entries) do not fit in memory\n"))
+
     def test_constructive_chain_at_100k_within_bounds(self):
         # a constructive certificate at n=100000 in under 1 GB of address space
         # and 60 s (through the library: the CLI's chain output is quadratic by format)

@@ -1,5 +1,7 @@
+import io
 import json
 import re
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -76,6 +78,36 @@ class TestParseGraph:
             assert parse_graph(text) == plain
         with pytest.raises(GraphSyntaxError, match="line 1"):
             parse_graph("\ufeff\ufeff" + K2_TEXT)  # only one is a BOM
+
+    def test_text_utf8_cannot_carry_refused(self):
+        # a str holding a lone surrogate is refused as bytes that are not UTF-8
+        # are: neither could be read from a file
+        with pytest.raises(UnicodeEncodeError):
+            parse_graph("p 2 1\nv u\nv \udc80\ne u \udc80\n")
+        with pytest.raises(UnicodeEncodeError):
+            parse_graph(K2_TEXT + "# \ud800\n")
+        with pytest.raises(UnicodeDecodeError):
+            parse_graph(b"p 2 1\nv u\nv \xff\ne u \xff\n")
+        assert parse_graph("p 1 0\nv \u00e9\N{EURO SIGN}\n").graph.labels == ("\u00e9\u20ac",)
+
+    @pytest.mark.parametrize("route", ["file", "stdin"])
+    def test_read_document_keeps_no_reference_to_its_bytes(self, route, tmp_path, monkeypatch):
+        # parse_graph's own argument is the only reference to the bytes read, so
+        # they are freed as soon as the text is decoded
+        counts = []
+
+        def spy(data):
+            counts.append(sys.getrefcount(data))
+            return parse_graph(data)
+
+        spy(K2_TEXT.encode())  # a temporary: referenced by spy's argument alone
+        path = tmp_path / "k2.graph"
+        path.write_bytes(K2_TEXT.encode())
+        monkeypatch.setattr(cli, "parse_graph", spy)
+        with io.TextIOWrapper(path.open("rb")) as stdin:  # a BytesIO would share its bytes
+            monkeypatch.setattr(sys, "stdin", stdin)
+            doc = cli._read_document(str(path) if route == "file" else "-")
+        assert doc.graph.edges == ((0, 1),) and counts[1] == counts[0], counts
 
     def test_comments_and_blank_lines(self):
         text = "# a graph\n\np 2 1   # header\nv u\n\nv v\ne u v\n"

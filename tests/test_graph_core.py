@@ -100,11 +100,13 @@ class TestGraphConstruction:
         with pytest.raises(ValueError, match=r"^duplicate vertex label 'b'$"):  # the first repeat
             Graph(["a", "b", "c", "b", "a"])
 
-    # a comma too: the CLI names a vertex set by comma-separated labels
+    # a comma too: the CLI names a vertex set by comma-separated labels, and a
+    # lone surrogate, which UTF-8 cannot carry, so the graph could not be written
     @pytest.mark.parametrize("label", ["", "a b", "a\tb", "a\nb", "\u00a0", "a#b", "#", "x,y",
-                                       ","])
+                                       ",", "\udc80", "a\ud800", "\udbff\udfff"])
     def test_rejects_labels_the_text_format_cannot_hold(self, label):
-        with pytest.raises(ValueError, match="empty or holds whitespace"):
+        with pytest.raises(ValueError, match="^vertex label .* is empty or holds whitespace, "
+                                             "'#', ',' or a lone surrogate$"):
             Graph(["ok", label])
 
     def test_rejects_out_of_range_edge(self):

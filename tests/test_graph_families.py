@@ -341,3 +341,30 @@ class TestEnumerateLabeledTrees:
     def test_k2_case(self):
         trees = list(enumerate_labeled_trees(2))
         assert len(trees) == 1 and trees[0].edges == ((0, 1),)
+
+
+class TestTrustedBuilds:
+    """The random families and the tree enumeration skip Graph()'s checks:
+    each graph must equal the one Graph() builds from the same parts."""
+
+    @staticmethod
+    def assert_as_checked(g):
+        checked = Graph(g.labels, g.edges)
+        assert g == checked and g._nbrs == checked._nbrs
+        assert g.vertex_count == len(g._nbrs) == len(g.labels)
+
+    @pytest.mark.parametrize("family,delete_prob", [("random_tree", 0.15),
+                                                    ("random_forest", 0.0),
+                                                    ("random_forest", 0.15),
+                                                    ("random_forest", 0.5),
+                                                    ("random_forest", 1.0)])
+    def test_random_families(self, family, delete_prob):
+        for n in range(1, 61):
+            for seed in (0, 1, 7, 2**64 - 1):
+                self.assert_as_checked(
+                    generate(FamilySpec(family, n, seed=seed, delete_prob=delete_prob)))
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_every_labeled_tree(self, n):
+        for t in enumerate_labeled_trees(n):
+            self.assert_as_checked(t)

@@ -72,6 +72,20 @@ class TestOneTablePerGraph:
             reader(g, cap=g.vertex_count - 1)
         assert built == [g]
 
+    @pytest.mark.parametrize("reader", [SubsetOracle, enumerate_psi, enumerate_omega,
+                                        verify_greedoid])
+    def test_tables_that_do_not_fit_in_memory_are_refused(self, reader, monkeypatch):
+        def out_of_memory(g):
+            raise MemoryError
+        monkeypatch.setattr(stable_core, "_build_tables", out_of_memory)
+        g = cycle(9)
+        with pytest.raises(TooLargeForEnumeration, match=r"^the subset tables of 9 vertices "
+                                                         r"\(2\^9 entries\) do not fit in memory$"):
+            reader(g)
+        monkeypatch.undo()
+        assert "subset_tables" not in g._memo  # the failed build is not memoised
+        assert len(SubsetOracle(g).psi_masks()) == len(naive_psi(g))
+
     def test_dropping_the_graph_frees_its_tables(self):
         # no cycle may keep the tables alive: with the cyclic collector off,
         # they must go the moment the last reference to the graph does

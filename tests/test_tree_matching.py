@@ -24,8 +24,9 @@ def forest_corpus(count=60, max_n=12, seed0=100):
 
 class TestMatchingFromEdges:
     def test_shared_endpoint_refused(self):
-        with pytest.raises(ValueError, match="^edges share an endpoint$"):
-            Matching.from_edges([(0, 1), (1, 2)])
+        for edges in ([(0, 1), (1, 2)], [(1, 1)]):  # a self-loop meets itself
+            with pytest.raises(ValueError, match="^edges share an endpoint$"):
+                Matching.from_edges(edges)
 
 
 class TestMaximumMatching:
